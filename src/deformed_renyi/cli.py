@@ -5,6 +5,10 @@ construct-u0, demo-counterexample, validate-phi, oracle.  JSON outputs are
 deterministic (sorted keys, stable float repr) and validate against the
 schema files shipped in deformed_renyi/schemas/.
 
+Every subcommand takes --out (write to a file instead of stdout); divergence,
+kappa and sweep also take --tol (solver tolerance on the normalization
+residual), and probe takes --strict.
+
 Exit codes: 0 success, 2 validation error, 3 divergent integral or bracket
 failure, 4 inconclusive probe under --strict, 64 usage error.
 """
@@ -16,7 +20,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -99,18 +102,15 @@ def _emit(text: str, out_path):
 
 
 def _emit_json(obj, args) -> None:
-    obj = dict(obj)
-    if args.seed is not None:
-        obj["seed"] = args.seed
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.out)
 
 
-def _emit_csv(header, rows, out_path) -> None:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _emit(buf.getvalue(), out_path)
+    return buf.getvalue()
 
 
 def _status_exit(status: SolveStatus) -> int:
@@ -150,7 +150,7 @@ def _cmd_sweep(args) -> int:
             format(report.value, ".17g"), report.status.value,
         ])
         worst = max(worst, _status_exit(report.status))
-    _emit_csv(["alpha", "kappa", "value", "status"], rows, args.out)
+    _emit(_csv_text(["alpha", "kappa", "value", "status"], rows), args.out)
     return worst
 
 
@@ -196,11 +196,7 @@ def _cmd_demo(args) -> int:
         rows = [[row["n"]] + [format(row[k], ".17g") for k in header[1:]] for row in demo.rows()]
         note = (f"# divergence certified for shifts >= {demo.certifies_lambda_at_least:g} "
                 f"(shifted terms grow by e^(lambda*spacing)/2 per row)\n")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _emit(note + buf.getvalue(), args.out)
+        _emit(note + _csv_text(header, rows), args.out)
     return EXIT_OK
 
 
@@ -231,27 +227,26 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=None, help="recorded in JSON output for reproducibility")
-    common.add_argument("--strict", action="store_true", help="exit 4 on inconclusive probe verdicts")
-    common.add_argument("--tol", type=float, default=1e-12, help="solver tolerance on the normalization residual")
+    solver = argparse.ArgumentParser(add_help=False, parents=[common])
+    solver.add_argument("--tol", type=float, default=1e-12, help="solver tolerance on the normalization residual")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("divergence", parents=[common], help="generalized Renyi divergence report")
+    p = sub.add_parser("divergence", parents=[solver], help="generalized Renyi divergence report")
     p.add_argument("--family", required=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--u0", default="const:1")
     p.set_defaults(func=_cmd_divergence)
 
-    p = sub.add_parser("kappa", parents=[common], help="solve the normalizing shift")
+    p = sub.add_parser("kappa", parents=[solver], help="solve the normalizing shift")
     p.add_argument("--family", required=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--u0", default="const:1")
     p.set_defaults(func=_cmd_kappa)
 
-    p = sub.add_parser("sweep", parents=[common], help="alpha-grid CSV of (alpha, kappa, value)")
+    p = sub.add_parser("sweep", parents=[solver], help="alpha-grid CSV of (alpha, kappa, value)")
     p.add_argument("--family", required=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--alphas", default="0.05:0.95:19", help="comma list or lo:hi:n grid")
@@ -260,6 +255,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("probe", parents=[common], help="existence-condition probes")
     p.add_argument("kind", choices=["ratio", "inequality", "envelope"])
+    p.add_argument("--strict", action="store_true", help="exit 4 on inconclusive probe verdicts")
     p.add_argument("--family", required=True)
     p.add_argument("--lambda0", type=float, default=1.0)
     p.add_argument("--umax", type=float, default=200.0)
@@ -303,13 +299,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # DEFORMED_DIV_THREADS caps worker parallelism; evaluation is sequential,
-    # so any positive cap is honored.  Validate it anyway.
-    threads = os.environ.get("DEFORMED_DIV_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        sys.stderr.write(f"DEFORMED_DIV_THREADS must be a positive integer, got {threads!r}\n")
-        return EXIT_VALIDATION
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -64,7 +64,6 @@ class ConditionProbeReport:
     bound_K: float | None = None   # every sampled ratio at u >= bound_c is <= bound_K
     bound_c: float | None = None   # -inf when the bound holds on the whole grid
     alpha_used: float | None = None   # 1/K, the constant the inequality criterion uses
-    epsilon_used: float | None = None  # atomic-case cap; not used by this probe
     threshold: float = math.inf
     stabilized: bool = False
     u_max: float = math.nan
@@ -78,7 +77,6 @@ class ConditionProbeReport:
             "bound_K": None if self.bound_K is None else jsonable_float(self.bound_K),
             "bound_c": None if self.bound_c is None else jsonable_float(self.bound_c),
             "alpha_used": self.alpha_used,
-            "epsilon_used": self.epsilon_used,
             "threshold": self.threshold,
             "stabilized": self.stabilized,
             "u_max": self.u_max,

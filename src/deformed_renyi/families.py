@@ -55,26 +55,50 @@ def q_logarithm(x, q):
 
 
 class DeformedExponential:
-    """Base interface. Subclasses are immutable and safe to share across threads."""
+    """Base interface. Subclasses are immutable and safe to share across threads.
+
+    The public maps accept scalars or arrays and return a float for a scalar
+    input.  Subclasses implement only the array hooks _log_phi, _phi_inv and
+    _phi_inv_deriv; the two inverse hooks receive float arrays with v > 0.
+    """
 
     family_id: str = "base"
     a_phi: float = -math.inf  # inf{u : phi(u) > 0}
 
     def log_phi(self, u):
         """log phi(u); -inf where phi vanishes.  Never saturated."""
-        raise NotImplementedError
+        u = np.asarray(u, dtype=float)
+        return _scalar_like(u, self._log_phi(u))
 
     def phi(self, u):
         """phi(u) >= 0, with values above PHI_MAX reported as +inf."""
-        out = _saturate_exp(self.log_phi(u))
-        return _scalar_like(u, out)
+        u = np.asarray(u, dtype=float)
+        return _scalar_like(u, _saturate_exp(self._log_phi(u)))
 
     def phi_inv(self, v):
-        raise NotImplementedError
+        v = self._check_positive(v)
+        return _scalar_like(v, self._phi_inv(v))
 
     def phi_inv_deriv(self, v):
         """(phi^-1)'(v) = 1 / phi'(phi^-1(v)) > 0."""
+        v = self._check_positive(v)
+        return _scalar_like(v, self._phi_inv_deriv(v))
+
+    def _log_phi(self, u):
         raise NotImplementedError
+
+    def _phi_inv(self, v):
+        raise NotImplementedError
+
+    def _phi_inv_deriv(self, v):
+        raise NotImplementedError
+
+    @classmethod
+    def from_spec(cls, arg: str) -> DeformedExponential:
+        """Build from the argument of a CLI spec '<family_id>:<arg>' ('' when absent)."""
+        if arg:
+            raise ValueError(f"family {cls.family_id!r} takes no argument, got {arg!r}")
+        return cls()
 
     def params(self) -> dict:
         return {}
@@ -98,19 +122,15 @@ class ClassicalExp(DeformedExponential):
     """phi(u) = e^u."""
 
     family_id = "exp"
-    a_phi = -math.inf
 
-    def log_phi(self, u):
-        u = np.asarray(u, dtype=float)
-        return _scalar_like(u, u.copy())
+    def _log_phi(self, u):
+        return u.copy()
 
-    def phi_inv(self, v):
-        v = self._check_positive(v)
-        return _scalar_like(v, np.log(v))
+    def _phi_inv(self, v):
+        return np.log(v)
 
-    def phi_inv_deriv(self, v):
-        v = self._check_positive(v)
-        return _scalar_like(v, 1.0 / v)
+    def _phi_inv_deriv(self, v):
+        return 1.0 / v
 
 
 class TsallisQ(DeformedExponential):
@@ -131,25 +151,23 @@ class TsallisQ(DeformedExponential):
         self.m = 1.0 / abs(1.0 - self.q)
         self.a_phi = -self.m
 
+    @classmethod
+    def from_spec(cls, arg):
+        return cls(float(arg))
+
     def params(self):
         return {"q": self.q}
 
-    def log_phi(self, u):
-        u = np.asarray(u, dtype=float)
+    def _log_phi(self, u):
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(u > -self.m, self.m * np.log1p(np.maximum(u, -self.m) / self.m), -np.inf)
-        return _scalar_like(u, out)
+            return np.where(u > -self.m, self.m * np.log1p(np.maximum(u, -self.m) / self.m), -np.inf)
 
-    def phi_inv(self, v):
-        v = self._check_positive(v)
+    def _phi_inv(self, v):
         # inverse of (1 + u/m)^m, equal to the q-logarithm of the effective q
-        out = self.m * np.expm1(np.log(v) / self.m)
-        return _scalar_like(v, out)
+        return self.m * np.expm1(np.log(v) / self.m)
 
-    def phi_inv_deriv(self, v):
-        v = self._check_positive(v)
-        out = np.exp((1.0 / self.m - 1.0) * np.log(v))
-        return _scalar_like(v, out)
+    def _phi_inv_deriv(self, v):
+        return np.exp((1.0 / self.m - 1.0) * np.log(v))
 
 
 class KaniadakisKappa(DeformedExponential):
@@ -160,36 +178,33 @@ class KaniadakisKappa(DeformedExponential):
     """
 
     family_id = "kaniadakis"
-    a_phi = -math.inf
 
     def __init__(self, kappa: float):
         if not (-1.0 <= kappa <= 1.0):
             raise FamilyParameterError(f"kaniadakis kappa must be in [-1, 1], got {kappa}")
         self.kappa = float(kappa)
 
+    @classmethod
+    def from_spec(cls, arg):
+        return cls(float(arg))
+
     def params(self):
         return {"kappa": self.kappa}
 
-    def log_phi(self, u):
-        u = np.asarray(u, dtype=float)
+    def _log_phi(self, u):
         if self.kappa == 0.0:
-            return _scalar_like(u, u.copy())
-        out = np.arcsinh(self.kappa * u) / self.kappa
-        return _scalar_like(u, out)
+            return u.copy()
+        return np.arcsinh(self.kappa * u) / self.kappa
 
-    def phi_inv(self, v):
-        v = self._check_positive(v)
+    def _phi_inv(self, v):
         if self.kappa == 0.0:
-            return _scalar_like(v, np.log(v))
-        out = np.sinh(self.kappa * np.log(v)) / self.kappa
-        return _scalar_like(v, out)
+            return np.log(v)
+        return np.sinh(self.kappa * np.log(v)) / self.kappa
 
-    def phi_inv_deriv(self, v):
-        v = self._check_positive(v)
+    def _phi_inv_deriv(self, v):
         if self.kappa == 0.0:
-            return _scalar_like(v, 1.0 / v)
-        out = np.cosh(self.kappa * np.log(v)) / v
-        return _scalar_like(v, out)
+            return 1.0 / v
+        return np.cosh(self.kappa * np.log(v)) / v
 
 
 class CounterexamplePhi(DeformedExponential):
@@ -201,31 +216,24 @@ class CounterexamplePhi(DeformedExponential):
     """
 
     family_id = "counterexample"
-    a_phi = -math.inf
 
     _LOG_SPLIT = 0.5  # log phi(0)
 
-    def log_phi(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.where(u >= 0.0, 0.5 * (u + 1.0) ** 2, u + 0.5)
-        return _scalar_like(u, out)
+    def _log_phi(self, u):
+        return np.where(u >= 0.0, 0.5 * (u + 1.0) ** 2, u + 0.5)
 
-    def phi_inv(self, v):
-        v = self._check_positive(v)
+    def _phi_inv(self, v):
         logv = np.log(v)
         with np.errstate(invalid="ignore"):
             upper = np.sqrt(np.maximum(2.0 * logv, 0.0)) - 1.0
-        out = np.where(logv >= self._LOG_SPLIT, upper, logv - 0.5)
-        return _scalar_like(v, out)
+        return np.where(logv >= self._LOG_SPLIT, upper, logv - 0.5)
 
-    def phi_inv_deriv(self, v):
+    def _phi_inv_deriv(self, v):
         # at the branch junction v = e^(1/2) both branches give 1/v
-        v = self._check_positive(v)
         logv = np.log(v)
         with np.errstate(invalid="ignore", divide="ignore"):
             upper = 1.0 / (v * np.sqrt(np.maximum(2.0 * logv, 1.0e-300)))
-        out = np.where(logv >= self._LOG_SPLIT, upper, 1.0 / v)
-        return _scalar_like(v, out)
+        return np.where(logv >= self._LOG_SPLIT, upper, 1.0 / v)
 
 
 class TabulatedMonotone(DeformedExponential):
@@ -235,7 +243,6 @@ class TabulatedMonotone(DeformedExponential):
     """
 
     family_id = "tabulated"
-    a_phi = -math.inf
 
     def __init__(self, knots):
         knots = [(float(u), float(p)) for u, p in knots]
@@ -257,22 +264,22 @@ class TabulatedMonotone(DeformedExponential):
     def params(self):
         return {"knots": [[u, math.exp(lp)] for u, lp in zip(self.u_knots, self.log_knots)]}
 
-    def _check_range(self, u):
-        u = np.asarray(u, dtype=float)
+    @classmethod
+    def from_spec(cls, arg):
+        if not arg:
+            raise ValueError("tabulated family needs a CSV path: tabulated:<path>")
+        return cls.from_csv(arg)
+
+    def _log_phi(self, u):
         if np.any(u < self.u_knots[0]) or np.any(u > self.u_knots[-1]):
             raise DomainError(
                 f"u outside tabulated range [{self.u_knots[0]}, {self.u_knots[-1]}]"
             )
-        return u
+        return np.interp(u, self.u_knots, self.log_knots)
 
-    def log_phi(self, u):
-        u = self._check_range(u)
-        out = np.interp(u, self.u_knots, self.log_knots)
-        return _scalar_like(u, out)
-
-    def phi_inv(self, v):
-        v = self._check_positive(v)
-        logv = np.asarray(np.log(v))
+    def _segment(self, v):
+        """(log v, i) with log v inside the rising knot segment [i - 1, i]."""
+        logv = np.log(v)
         if np.any(logv < self.log_knots[0]) or np.any(logv > self.log_knots[-1]):
             raise DomainError("v outside tabulated phi range")
         left = np.searchsorted(self.log_knots, logv, side="left")
@@ -280,28 +287,17 @@ class TabulatedMonotone(DeformedExponential):
         if np.any(right - left >= 2):
             # value shared by >= 2 knots: the preimage is a flat segment
             raise DomainError("phi_inv hit a flat tabulated segment; preimage is ambiguous")
-        idx = np.clip(left, 1, len(self.log_knots) - 1)
-        lo, hi = self.log_knots[idx - 1], self.log_knots[idx]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.where(hi > lo, (logv - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
-        out = self.u_knots[idx - 1] + t * (self.u_knots[idx] - self.u_knots[idx - 1])
-        return _scalar_like(v, out)
+        return logv, np.clip(left, 1, len(self.log_knots) - 1)
 
-    def phi_inv_deriv(self, v):
-        # central finite difference with step control near the range ends
-        v = np.asarray(self._check_positive(v), dtype=float)
-        lo_v = math.exp(self.log_knots[0])
-        hi_v = math.exp(self.log_knots[-1])
-        out = np.empty(v.shape or (1,))
-        flat = np.ravel(v)
-        res = np.ravel(out)
-        for i, vi in enumerate(flat):
-            h = max(1e-6 * vi, 1e-12)
-            h = min(h, (hi_v - vi) if hi_v > vi else h, (vi - lo_v) if vi > lo_v else h)
-            if h <= 0:
-                raise DomainError("phi_inv_deriv needs interior v for finite differences")
-            res[i] = (self.phi_inv(vi + h) - self.phi_inv(vi - h)) / (2.0 * h)
-        return _scalar_like(v, out.reshape(np.shape(v)))
+    def _phi_inv(self, v):
+        logv, i = self._segment(v)
+        lo, hi = self.log_knots[i - 1], self.log_knots[i]
+        return self.u_knots[i - 1] + (logv - lo) / (hi - lo) * (self.u_knots[i] - self.u_knots[i - 1])
+
+    def _phi_inv_deriv(self, v):
+        # phi_inv is linear in log v on each segment: the slope du / dlog phi over v
+        _, i = self._segment(v)
+        return (self.u_knots[i] - self.u_knots[i - 1]) / (self.log_knots[i] - self.log_knots[i - 1]) / v
 
     @classmethod
     def from_csv(cls, path):
@@ -387,12 +383,8 @@ def validate_family(family: DeformedExponential, u_grid, rel_tol: float = 1e-9) 
     return report
 
 
-_FAMILY_BUILDERS = {
-    "exp": lambda params: ClassicalExp(),
-    "tsallis": lambda params: TsallisQ(params["q"]),
-    "kaniadakis": lambda params: KaniadakisKappa(params["kappa"]),
-    "counterexample": lambda params: CounterexamplePhi(),
-    "tabulated": lambda params: TabulatedMonotone(params["knots"]),
+_FAMILIES = {
+    cls.family_id: cls for cls in (ClassicalExp, TsallisQ, KaniadakisKappa, CounterexamplePhi, TabulatedMonotone)
 }
 
 
@@ -401,27 +393,17 @@ def family_from_json(obj) -> DeformedExponential:
     if isinstance(obj, str):
         obj = json.loads(obj)
     name = obj.get("family")
-    if name not in _FAMILY_BUILDERS:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}")
-    return _FAMILY_BUILDERS[name](obj.get("params", {}))
+    return _FAMILIES[name](**obj.get("params", {}))
 
 
 def parse_family_spec(spec: str) -> DeformedExponential:
     """Parse CLI shorthand: exp | tsallis:<q> | kaniadakis:<k> | counterexample | tabulated:<csv>."""
     name, _, arg = spec.partition(":")
-    if name == "exp":
-        return ClassicalExp()
-    if name == "tsallis":
-        return TsallisQ(float(arg))
-    if name == "kaniadakis":
-        return KaniadakisKappa(float(arg))
-    if name == "counterexample":
-        return CounterexamplePhi()
-    if name == "tabulated":
-        if not arg:
-            raise ValueError("tabulated family needs a CSV path: tabulated:<path>")
-        return TabulatedMonotone.from_csv(arg)
-    raise ValueError(f"unknown family spec {spec!r}")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family spec {spec!r}")
+    return _FAMILIES[name].from_spec(arg)
 
 
 BUILTIN_FAMILIES = ("exp", "tsallis:0.5", "tsallis:2", "kaniadakis:0.5", "kaniadakis:-0.5", "counterexample")

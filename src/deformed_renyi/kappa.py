@@ -71,20 +71,23 @@ def interpolation_base(family: DeformedExponential, pair: ProbabilityPair, alpha
     return alpha * np.asarray(family.phi_inv(pair.p)) + (1.0 - alpha) * np.asarray(family.phi_inv(pair.q))
 
 
+def _normalization(family: DeformedExponential, pair: ProbabilityPair, base, u0_arr, kappa: float) -> float:
+    """N(kappa) from a precomputed interpolation base."""
+    return integrate(pair.measure, family.phi(base + kappa * u0_arr))
+
+
 def normalization_functional(
     family: DeformedExponential,
     pair: ProbabilityPair,
     alpha: float,
     u0,
     kappa: float,
-    _base: np.ndarray | None = None,
 ) -> float:
     """N(kappa); returns +inf when phi saturates on a set of positive measure."""
     if not math.isfinite(kappa):
         raise ValueError("kappa must be finite")
     u0_arr = as_u0_array(u0, pair.measure)
-    base = interpolation_base(family, pair, alpha) if _base is None else _base
-    return integrate(pair.measure, family.phi(base + kappa * u0_arr))
+    return _normalization(family, pair, interpolation_base(family, pair, alpha), u0_arr, kappa)
 
 
 def solve_kappa(
@@ -115,7 +118,7 @@ def solve_kappa(
     def n_of(kappa: float) -> float:
         nonlocal evals
         evals += 1
-        return integrate(pair.measure, family.phi(base + kappa * u0_arr))
+        return _normalization(family, pair, base, u0_arr, kappa)
 
     n0 = n_of(0.0)
     if abs(n0 - 1.0) <= tol:

@@ -13,7 +13,7 @@ from deformed_renyi.divergences import (
     phi_divergence,
     tsallis_relative_entropy,
 )
-from deformed_renyi.families import ClassicalExp, CounterexamplePhi, KaniadakisKappa, TsallisQ
+from deformed_renyi.families import ClassicalExp, CounterexamplePhi, KaniadakisKappa, TabulatedMonotone, TsallisQ
 from deformed_renyi.kappa import SolveStatus
 from deformed_renyi.measures import Counting, ProbabilityPair, QuadGrid
 
@@ -107,6 +107,14 @@ class TestPhiDivergence:
     def test_classical_reduces_to_kl(self):
         assert phi_divergence(ClassicalExp(), PAIR) == pytest.approx(KL_PQ, abs=1e-12)
         assert phi_divergence(ClassicalExp(), PAIR) == pytest.approx(kl_divergence(PAIR), abs=1e-15)
+
+    def test_tabulated_exp_reduces_to_kl(self):
+        # knots on e^u make the log-linear table exactly exp; the exact segment
+        # slope keeps the quotient at KL to rounding even at n = 1e3
+        u = np.linspace(-40.0, 40.0, 161)
+        fam = TabulatedMonotone(list(zip(u, np.exp(u))))
+        pair = random_pair(np.random.default_rng(3), 1000)
+        assert phi_divergence(fam, pair) == pytest.approx(kl_divergence(pair), abs=1e-13)
 
     def test_kaniadakis_consistent_with_limit(self):
         fam = KaniadakisKappa(0.5)

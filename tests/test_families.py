@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -257,21 +258,40 @@ class TestTabulated:
         fam = self._family()
         assert fam.phi_inv_deriv(1.0) == pytest.approx(1.0, rel=1e-3)
 
+    def test_derivative_at_end_knots_is_segment_slope(self):
+        fam = TabulatedMonotone([(0.0, 1.0), (1.0, 4.0), (3.0, 8.0)])
+        assert fam.phi_inv_deriv(1.0) == pytest.approx(1.0 / math.log(4.0), rel=1e-14)
+        assert fam.phi_inv_deriv(8.0) == pytest.approx(2.0 / math.log(2.0) / 8.0, rel=1e-14)
+        np.testing.assert_allclose(fam.phi_inv_deriv(np.array([1.0, 8.0])),
+                                   [1.0 / math.log(4.0), 0.25 / math.log(2.0)], rtol=1e-14)
+
 
 class TestSerialization:
     def test_json_round_trip(self):
-        for fam in BUILTINS:
-            clone = family_from_json(fam.to_json())
+        tabulated = TabulatedMonotone([(-4.0, 0.5), (0.0, 1.0), (4.0, 9.0)])
+        for fam in BUILTINS + [tabulated]:
+            clone = family_from_json(json.dumps(fam.to_json()))
+            assert type(clone) is type(fam)
             u = np.linspace(-3, 3, 13)
             np.testing.assert_allclose(clone.phi(u), fam.phi(u), rtol=1e-15)
 
-    def test_parse_specs(self):
+    def test_parse_specs(self, tmp_path):
         assert isinstance(parse_family_spec("exp"), ClassicalExp)
         assert parse_family_spec("tsallis:0.5").q == 0.5
         assert parse_family_spec("kaniadakis:-0.25").kappa == -0.25
         assert isinstance(parse_family_spec("counterexample"), CounterexamplePhi)
+        knots = tmp_path / "knots.csv"
+        knots.write_text("u,phi\n-1.0,0.5\n0.0,1.0\n1.0,3.0\n")
+        fam = parse_family_spec(f"tabulated:{knots}")
+        assert isinstance(fam, TabulatedMonotone)
+        np.testing.assert_array_equal(fam.u_knots, [-1.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             parse_family_spec("nope")
+        with pytest.raises(ValueError):
+            parse_family_spec("tabulated")
+        for spec in ("exp:3", "counterexample:1"):
+            with pytest.raises(ValueError, match="takes no argument"):
+                parse_family_spec(spec)
 
 
 def test_q_logarithm_limit():
