@@ -37,7 +37,7 @@ from .existence import (
 )
 from .families import parse_family_spec, validate_family
 from .kappa import SolveStatus, solve_kappa
-from .measures import load_pair
+from .measures import load_pair, read_float_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,17 +60,10 @@ def _parse_u0(spec: str, size: int):
             raise ValueError("const u0 must be positive")
         return value
     if kind == "seq":
-        values = []
-        with open(arg, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["u0"]:
-                raise ValueError(f"{arg}: expected single-column CSV with header 'u0'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                values.append(float(row[0]))
-        arr = np.asarray(values, dtype=float)
+        header, rows = read_float_csv(arg)
+        if header != ["u0"]:
+            raise ValueError(f"{arg}: expected single-column CSV with header 'u0'")
+        arr = np.asarray(rows, dtype=float).reshape(-1)
         if arr.size != size:
             raise ValueError(f"u0 sequence has {arr.size} entries, pair has {size}")
         return arr
@@ -84,8 +77,14 @@ def _parse_u0(spec: str, size: int):
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    lo, hi, n = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        n = 0
+    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bad grid {spec!r}: expected lo:hi:n with finite lo, hi and n >= 1")
+    return np.linspace(lo, hi, n)
 
 
 def _parse_alphas(spec: str) -> np.ndarray:

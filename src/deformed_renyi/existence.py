@@ -20,7 +20,7 @@ honest fallback when a limsup cannot be called either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,62 @@ class DegenerateDomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# shared pieces: the log-space comparison, the probe range, scan-and-refine
+# ---------------------------------------------------------------------------
+
+
+def _log_exceeds(log_lhs, log_rhs):
+    """lhs > rhs compared in log space with LOG_SLACK to spare.
+
+    Every inequality test of this module goes through here; the probes pass
+    log_alpha + log phi(u) and log phi(u - s).  A left side of -inf (phi = 0)
+    never exceeds anything, so alpha phi(u) = 0 is never a violation.
+    """
+    return log_lhs > log_rhs + LOG_SLACK
+
+
+def _shifted_range(family: DeformedExponential, shift: float) -> tuple[float, float]:
+    """[lo, hi] of the u at which both u - shift and u lie where log_phi is
+    defined: the knot range of a tabulated family, all of R otherwise."""
+    knots = getattr(family, "u_knots", None)
+    if knots is None:
+        return -math.inf, math.inf
+    lo = knots[0] + shift
+    if lo - shift < knots[0]:  # rounding would step u - shift off the table
+        lo = np.nextafter(lo, math.inf)
+    return float(lo), float(knots[-1])
+
+
+def _phi_or_zero(family: DeformedExponential, u) -> np.ndarray:
+    """phi(u) where u is finite, 0 where it is not (an absent boundary adds nothing)."""
+    u = np.asarray(u, dtype=float)
+    finite = np.isfinite(u)
+    out = np.zeros(u.shape)
+    out[finite] = family.phi(u[finite])
+    return out
+
+
+def _refine_last(pred, grid: np.ndarray, tol: float = 0.0):
+    """Bracket (lo, hi) from the last grid point where the array predicate
+    holds to the next grid point, bisected until it is narrower than tol or
+    lo and hi are adjacent floats.  None when the predicate holds nowhere."""
+    hits = np.nonzero(pred(grid))[0]
+    if hits.size == 0:
+        return None
+    i = int(hits[-1])
+    lo, hi = grid[i], grid[min(i + 1, grid.size - 1)]
+    while hi - lo >= tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if pred(np.array([mid]))[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
 # ratio limsup probe
 # ---------------------------------------------------------------------------
 
@@ -68,8 +124,8 @@ class ConditionProbeReport:
     stabilized: bool = False
     u_max: float = math.nan
 
-    def to_json(self, max_samples: int = 64):
-        stride = max(1, len(self.u_samples) // max_samples)
+    def to_json(self):
+        stride = max(1, len(self.u_samples) // 64)
         return {
             "lambda0": self.lambda0,
             "verdict": self.verdict,
@@ -86,17 +142,14 @@ class ConditionProbeReport:
         }
 
 
-def _probe_grid(family: DeformedExponential, lambda0: float, u_max: float,
-                n_linear: int, n_geometric: int) -> np.ndarray:
-    lo = -max(10.0, 5.0 * lambda0)
-    grid = [np.linspace(lo, u_max, n_linear)]
+def _probe_grid(family: DeformedExponential, lambda0: float, u_max: float) -> np.ndarray:
+    grid = [np.linspace(-max(10.0, 5.0 * lambda0), u_max, 4001)]
     g_lo = 0.01 * max(lambda0, 1.0)
     if u_max > g_lo:
-        grid.append(np.geomspace(g_lo, u_max, n_geometric))
+        grid.append(np.geomspace(g_lo, u_max, 257))
     u = np.unique(np.concatenate(grid))
-    if hasattr(family, "u_knots"):
-        u = u[(u >= family.u_knots[0] + lambda0) & (u <= family.u_knots[-1])]
-    return u
+    lo, hi = _shifted_range(family, lambda0)
+    return u[(u >= lo) & (u <= hi)]
 
 
 def ratio_limsup_probe(
@@ -104,8 +157,6 @@ def ratio_limsup_probe(
     lambda0: float,
     u_max: float = 200.0,
     threshold: float = 1e12,
-    n_linear: int = 4001,
-    n_geometric: int = 257,
 ) -> ConditionProbeReport:
     """Sample phi(u)/phi(u - lambda0) on a geometric-plus-linear grid up to u_max.
 
@@ -119,7 +170,7 @@ def ratio_limsup_probe(
     if not math.isfinite(u_max) or u_max <= 0:
         raise ValueError("u_max must be finite and positive")
 
-    u = _probe_grid(family, lambda0, u_max, n_linear, n_geometric)
+    u = _probe_grid(family, lambda0, u_max)
     log_num = np.asarray(family.log_phi(u))
     log_den = np.asarray(family.log_phi(u - lambda0))
     valid = np.isfinite(log_den) & (log_num > -np.inf)
@@ -157,9 +208,8 @@ def ratio_limsup_probe(
         return report
 
     report.verdict = VERDICT_BOUNDED
-    log_K = sup_tail_log + 1e-9
-    report.bound_K = float(math.exp(log_K))
-    violators = log_ratio > log_K
+    report.bound_K = float(math.exp(sup_tail_log + LOG_SLACK))
+    violators = _log_exceeds(log_ratio, sup_tail_log)
     if np.any(violators):
         last_violator = float(np.max(u_valid[violators]))
         above = u_valid[u_valid > last_violator]
@@ -205,11 +255,10 @@ def pointwise_inequality_probe(
     if u0_value <= 0:
         raise ValueError("u0_value must be positive")
     u = np.asarray(u_grid, dtype=float)
-    lhs = math.log(alpha) + np.asarray(family.log_phi(u))
-    rhs = np.asarray(family.log_phi(u - u0_value))
-    with np.errstate(invalid="ignore"):
-        viol = lhs > rhs + LOG_SLACK
-    viol &= lhs > -np.inf  # alpha * 0 > 0 never holds
+    if u.size == 0:
+        raise ValueError("u_grid is empty: nothing to check")
+    viol = _log_exceeds(math.log(alpha) + np.asarray(family.log_phi(u)),
+                        np.asarray(family.log_phi(u - u0_value)))
     n_viol = int(np.count_nonzero(viol))
     c_found = float(np.max(u[viol])) if n_viol else -math.inf
     return InequalityProbeResult(
@@ -228,22 +277,10 @@ def pointwise_inequality_probe(
 class KaniadakisCertificate:
     kappa: float
     alpha: float
-    v0: float               # numeric minimizer of log_k(v) - log_k(alpha v)
-    v0_expected: float      # (1/alpha)^(1/2)
+    v0: float               # numeric minimizer of log_k(v) - log_k(alpha v); (1/alpha)^(1/2) in closed form
     lam: float              # minimum value; alpha exp_k(u) <= exp_k(u - lam) for all u
     n: int                  # ceil(1/lam)
     check: bool             # alpha^n exp_k(u) <= exp_k(u - 1) on the sample grid
-
-    def to_json(self):
-        return {
-            "kappa": self.kappa,
-            "alpha": self.alpha,
-            "v0": self.v0,
-            "v0_expected": self.v0_expected,
-            "lambda": self.lam,
-            "n": self.n,
-            "check": self.check,
-        }
 
 
 def verify_kaniadakis_u0(
@@ -266,40 +303,24 @@ def verify_kaniadakis_u0(
         raise ValueError("alpha must be in (0, 1)")
     family = KaniadakisKappa(kappa_param)
 
-    def g(v: float) -> float:
-        return float(family.phi_inv(v) - family.phi_inv(alpha * v))
-
-    def g_prime(v: float) -> float:
-        return float(family.phi_inv_deriv(v) - alpha * family.phi_inv_deriv(alpha * v))
+    def g_prime(v):
+        return family.phi_inv_deriv(v) - alpha * family.phi_inv_deriv(alpha * v)
 
     v_grid = np.geomspace(1e-8, 1e8, 2001)
-    slopes = np.array([g_prime(v) for v in v_grid])
+    slopes = g_prime(v_grid)
     signs = np.sign(slopes[slopes != 0.0])
     flips = int(np.count_nonzero(np.diff(signs) != 0))
     if flips != 1 or signs[0] >= 0 or signs[-1] <= 0:
         raise MinimizationError(f"objective not unimodal on samples ({flips} slope sign changes)")
-    i = int(np.max(np.nonzero(slopes < 0)[0]))
-    lo, hi = v_grid[i], v_grid[min(i + 1, v_grid.size - 1)]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if g_prime(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _refine_last(lambda v: g_prime(v) < 0, v_grid)
     v0 = 0.5 * (lo + hi)
 
-    lam = g(v0)
+    lam = float(family.phi_inv(v0) - family.phi_inv(alpha * v0))
     n = math.ceil(1.0 / lam)
     u = np.linspace(u_lo, u_hi, n_u)
-    lhs = n * math.log(alpha) + np.asarray(family.log_phi(u))
-    rhs = np.asarray(family.log_phi(u - 1.0))
-    check = bool(np.all(lhs <= rhs + LOG_SLACK))
-    return KaniadakisCertificate(
-        kappa=kappa_param, alpha=alpha, v0=float(v0),
-        v0_expected=alpha ** -0.5, lam=float(lam), n=n, check=check,
-    )
+    check = not np.any(_log_exceeds(n * math.log(alpha) + np.asarray(family.log_phi(u)),
+                                    np.asarray(family.log_phi(u - 1.0))))
+    return KaniadakisCertificate(kappa=kappa_param, alpha=alpha, v0=float(v0), lam=lam, n=n, check=bool(check))
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +330,16 @@ def verify_kaniadakis_u0(
 
 @dataclass
 class EnvelopeCheck:
+    """counterexamples has one row per sampled (u, v) where the envelope
+    fails, with the columns (u, v, log lhs, log rhs): a (k, 4) float array."""
+
     K: float
     lambda0: float
     c: float
     lam: float                    # log(K) / lambda0
     holds: bool
     n_checked: int
-    counterexamples: list = field(default_factory=list)  # (u, v, log lhs, log rhs)
+    counterexamples: np.ndarray
 
     def to_json(self):
         return {
@@ -325,7 +349,7 @@ class EnvelopeCheck:
             "lambda": self.lam,
             "holds": self.holds,
             "n_checked": self.n_checked,
-            "counterexamples": [list(map(jsonable_float, ce)) for ce in self.counterexamples[:32]],
+            "counterexamples": [jsonable_floats(row) for row in self.counterexamples[:32]],
         }
 
 
@@ -343,18 +367,16 @@ def growth_envelope_check(
     v = np.asarray(v_grid, dtype=float)
     if np.any(v < 0):
         raise ValueError("v_grid must be non-negative")
+    if u.size == 0 or v.size == 0:
+        raise ValueError("no sampled u >= c and v >= 0: nothing to check")
     log_u = np.asarray(family.log_phi(u))
     lhs = np.asarray(family.log_phi(u[:, None] + v[None, :]))
     rhs = math.log(K) + log_u[:, None] + lam * v[None, :]
-    bad = lhs > rhs + LOG_SLACK
-    counterexamples = [
-        (float(u[i]), float(v[j]), float(lhs[i, j]), float(rhs[i, j]))
-        for i, j in zip(*np.nonzero(bad))
-    ]
+    i, j = np.nonzero(_log_exceeds(lhs, rhs))
     return EnvelopeCheck(
         K=K, lambda0=lambda0, c=c, lam=lam,
-        holds=not counterexamples, n_checked=int(lhs.size),
-        counterexamples=counterexamples,
+        holds=i.size == 0, n_checked=int(lhs.size),
+        counterexamples=np.column_stack([u[i], v[j], lhs[i, j], rhs[i, j]]),
     )
 
 
@@ -409,53 +431,38 @@ def default_lambda_sequence(alpha: float, n: int = 64) -> np.ndarray:
     return lam1 * np.exp2(-np.arange(n, dtype=float))
 
 
-def _scan_eta(family: DeformedExponential, alpha: float, lam1: float) -> float:
-    log_alpha = math.log(alpha)
+def _eta_ok(family: DeformedExponential, log_alpha: float, eta: float, lam1: float) -> bool:
+    """alpha phi(eta) < phi(eta - lambda_1), i.e. phi(eta - lambda_1) exceeds alpha phi(eta)."""
+    return bool(_log_exceeds(family.log_phi(eta - lam1), log_alpha + family.log_phi(eta)))
+
+
+def _scan_eta(family: DeformedExponential, log_alpha: float, lam1: float) -> float:
+    lo, hi = _shifted_range(family, lam1)
     for k in range(0, 41):
         for eta in ((0.0,) if k == 0 else (float(k), float(-k))):
-            le = float(family.log_phi(eta))
-            ls = float(family.log_phi(eta - lam1))
-            if math.isfinite(ls) and math.isfinite(le) and log_alpha + le < ls - LOG_SLACK:
+            if lo <= eta <= hi and _eta_ok(family, log_alpha, eta, lam1):
                 return eta
     raise ConstructionError("no eta found with alpha phi(eta) < phi(eta - lambda_1)")
 
 
-def _boundary_sup(family: DeformedExponential, alpha: float, lam_n: float,
-                  log_eps: float, u_cap: float, span: float = 80.0) -> float:
+def _boundary_sup(family: DeformedExponential, log_alpha: float, lam_n: float,
+                  log_eps: float, u_cap: float) -> float:
     """sup{u : alpha phi(u) > phi(u - lam_n) and phi(u - lam_n) <= eps},
-    by top-down grid scan with bisection refinement toward the next grid
-    point above (a conservative over-estimate keeps the certificate valid)."""
-    log_alpha = math.log(alpha)
+    by a grid scan of [u_cap - 80, u_cap] inside the probe range, refined
+    by bisection toward the next grid point above (a conservative
+    over-estimate keeps the certificate valid)."""
 
     def cond(u):
-        u = np.asarray(u, dtype=float)
-        lhs = log_alpha + np.asarray(family.log_phi(u))
         rhs = np.asarray(family.log_phi(u - lam_n))
-        return (lhs > rhs + LOG_SLACK) & (rhs <= log_eps + LOG_SLACK) & (lhs > -np.inf)
+        return _log_exceeds(log_alpha + np.asarray(family.log_phi(u)), rhs) & ~_log_exceeds(rhs, log_eps)
 
-    u_lo = u_cap - span
-    if family.a_phi > -math.inf:
-        u_lo = max(u_lo, family.a_phi)
-    if u_lo >= u_cap:
+    lo, hi = _shifted_range(family, lam_n)
+    u_lo = max(u_cap - 80.0, family.a_phi, lo)
+    u_hi = min(u_cap, hi)
+    if u_lo >= u_hi:
         return -math.inf
-    grid = np.linspace(u_lo, u_cap, 4001)
-    hits = cond(grid)
-    if not np.any(hits):
-        return -math.inf
-    i = int(np.max(np.nonzero(hits)[0]))
-    lo = grid[i]
-    hi = grid[min(i + 1, grid.size - 1)]
-    if hi <= lo:
-        return float(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if bool(cond(mid)):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    return float(hi)
+    bracket = _refine_last(cond, np.linspace(u_lo, u_hi, 4001), tol=1e-10)
+    return -math.inf if bracket is None else float(bracket[1])
 
 
 def construct_u0_sequence(
@@ -483,22 +490,20 @@ def construct_u0_sequence(
         raise ValueError("lambda_sequence must be positive and strictly decreasing")
 
     lam1 = float(lambdas[0])
+    log_alpha = math.log(alpha)
     if eta is None:
-        eta = _scan_eta(family, alpha, lam1)
-    else:
-        if not math.log(alpha) + float(family.log_phi(eta)) < float(family.log_phi(eta - lam1)) - LOG_SLACK:
-            raise ConstructionError(f"eta={eta} fails alpha phi(eta) < phi(eta - lambda_1)")
+        eta = _scan_eta(family, log_alpha, lam1)
+    elif not _eta_ok(family, log_alpha, eta, lam1):
+        raise ConstructionError(f"eta={eta} fails alpha phi(eta) < phi(eta - lambda_1)")
+    # finite and positive: _eta_ok has phi(eta - lambda_1) > alpha phi(eta) >= 0
     log_eps = float(family.log_phi(eta - lam1))
-    if not math.isfinite(log_eps):
-        raise ConstructionError("epsilon = phi(eta - lambda_1) must be positive")
     epsilon = math.exp(log_eps)
 
-    boundaries = np.empty(lambdas.size)
-    for n, lam_n in enumerate(lambdas):
-        u_cap = float(lam_n + family.phi_inv(epsilon))
-        boundaries[n] = _boundary_sup(family, alpha, float(lam_n), log_eps, u_cap)
-    phi_at = np.asarray(family.phi(np.where(np.isfinite(boundaries), boundaries, family.a_phi if family.a_phi > -math.inf else -1e6)))
-    phi_at = np.where(np.isfinite(boundaries), phi_at, 0.0)
+    u_eps = family.phi_inv(epsilon)
+    boundaries = np.array([
+        _boundary_sup(family, log_alpha, float(lam_n), log_eps, float(lam_n + u_eps)) for lam_n in lambdas
+    ])
+    phi_at = _phi_or_zero(family, boundaries)
 
     indices = []
     prev = -1
@@ -536,27 +541,15 @@ class ShiftedSumReport:
     tail_bound: float      # geometric continuation bound, inf if ratio >= 1
     finite: bool
 
-    def to_json(self):
-        return {
-            "lambda": self.lam,
-            "partial_sum": self.partial_sum,
-            "tail_ratio": jsonable_float(self.tail_ratio),
-            "tail_bound": jsonable_float(self.tail_bound),
-            "finite": self.finite,
-            "terms": jsonable_floats(self.terms),
-        }
 
-
-def shifted_sum_check(
-    family: DeformedExponential, u0_sequence, c_values, lam: float, ratio_cutoff: float = 0.95
-) -> ShiftedSumReport:
-    """Evaluate phi(c_i + lam * u0_i) term by term and certify geometric decay."""
+def shifted_sum_check(family: DeformedExponential, u0_sequence, c_values, lam: float) -> ShiftedSumReport:
+    """Evaluate phi(c_i + lam * u0_i) term by term and certify geometric decay
+    (a tail term ratio below 0.95)."""
     u0_sequence = np.asarray(u0_sequence, dtype=float)
     c_values = np.asarray(c_values, dtype=float)
     if u0_sequence.shape != c_values.shape:
         raise ValueError("u0_sequence and c_values must have matching length")
-    shifted = np.where(np.isfinite(c_values), c_values + lam * u0_sequence, -np.inf)
-    terms = np.where(np.isfinite(shifted), np.asarray(family.phi(np.where(np.isfinite(shifted), shifted, 0.0))), 0.0)
+    terms = _phi_or_zero(family, c_values + lam * u0_sequence)
     partial = float(np.sum(terms))
     last_quarter = terms[-max(2, terms.size // 4):]
     pos = last_quarter[last_quarter > 0]
@@ -564,7 +557,7 @@ def shifted_sum_check(
         ratio = float(np.max(pos[1:] / pos[:-1]))
     else:
         ratio = 0.0
-    finite = bool(np.all(np.isfinite(terms)) and ratio < ratio_cutoff)
+    finite = bool(np.all(np.isfinite(terms)) and ratio < 0.95)
     tail = float(terms[-1] * ratio / (1.0 - ratio)) if ratio < 1.0 else math.inf
     return ShiftedSumReport(lam=lam, terms=terms, partial_sum=partial,
                             tail_ratio=ratio, tail_bound=tail, finite=finite)
@@ -672,34 +665,31 @@ def adversarial_nonexistence_demo(lam: float, n_pieces: int = 60, build_pair: bo
     )
 
 
-def build_divergent_pair(
-    jump_kappa: float = 0.05,
-    n_ladder: int = 30,
-    ladder_mass: float = 0.25,
-    alpha_check: float = 0.5,
-) -> ProbabilityPair:
+def build_divergent_pair() -> ProbabilityPair:
     """Materialize a pair for which the normalizing shift cannot be found.
 
     Mirrors the non-existence argument at float64 scale: a representable
-    ladder of level sets, plus an edge piece sitting jump_kappa below the
-    saturation boundary of phi with a mass small enough that its finite
-    contribution stays under 1.  Any shift beyond jump_kappa saturates the
-    edge piece, so the normalization functional jumps from below 1 straight
-    to +inf and the defining equation has no root.
+    ladder of n_ladder level sets with total mass ladder_mass, plus an edge
+    piece sitting jump_kappa below the saturation boundary of phi with a mass
+    small enough that its finite contribution stays under 1.  Any shift
+    beyond jump_kappa saturates the edge piece, so the normalization
+    functional jumps from below 1 straight to +inf and the defining equation
+    has no root.
     """
+    jump_kappa, n_ladder, ladder_mass = 0.05, 30, 0.25
     family = CounterexamplePhi()
     u_sat = math.sqrt(2.0 * LOG_PHI_MAX) - 1.0
     d_edge = u_sat - jump_kappa
     p_edge = float(family.phi(d_edge))
     if not math.isfinite(p_edge):
-        raise ConstructionError("edge density saturated; decrease jump_kappa")
+        raise ConstructionError("edge density saturated")
     w_edge = 0.04 / PHI_MAX
 
     n = np.arange(1, n_ladder + 1, dtype=float)
     ladder_c = n.copy()
     ladder_p = np.asarray(family.phi(ladder_c))
     if not np.all(np.isfinite(ladder_p)):
-        raise ConstructionError("ladder densities overflow; decrease n_ladder")
+        raise ConstructionError("ladder densities overflow")
     ladder_w = ladder_mass * np.exp2(-n) / ladder_p
 
     beta1, beta2 = -0.5, -6.0
@@ -720,8 +710,8 @@ def build_divergent_pair(
     # self-certify: finite and below 1 just under the jump, saturated just above
     from .kappa import normalization_functional
 
-    below = normalization_functional(family, pair, alpha_check, 1.0, jump_kappa * (1.0 - 1e-3))
-    above = normalization_functional(family, pair, alpha_check, 1.0, jump_kappa * (1.0 + 1e-3))
+    below = normalization_functional(family, pair, 0.5, 1.0, jump_kappa * (1.0 - 1e-3))
+    above = normalization_functional(family, pair, 0.5, 1.0, jump_kappa * (1.0 + 1e-3))
     if not (math.isfinite(below) and below < 1.0 and math.isinf(above)):
         raise ConstructionError(
             f"divergent pair failed self-certification: N(jump-) = {below}, N(jump+) = {above}"

@@ -8,12 +8,13 @@ the log of phi (which the existence probes use to avoid overflow).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .measures import read_float_csv
 
 # Saturation ceiling for phi in linear space.  Values whose true magnitude
 # exceeds PHI_MAX are reported as +inf so that integrators treat them as
@@ -302,18 +303,9 @@ class TabulatedMonotone(DeformedExponential):
     @classmethod
     def from_csv(cls, path):
         """Load knots from CSV with header 'u,phi', u strictly increasing."""
-        knots = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["u", "phi"]:
-                raise ValueError(f"{path}: expected header 'u,phi'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}: row {lineno}: expected 2 columns, got {len(row)}")
-                knots.append((float(row[0]), float(row[1])))
+        header, knots = read_float_csv(path)
+        if header != ["u", "phi"]:
+            raise ValueError(f"{path}: expected header 'u,phi'")
         return cls(knots)
 
 

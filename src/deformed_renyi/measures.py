@@ -233,15 +233,9 @@ def save_pair(pair: ProbabilityPair, path, fmt: str | None = None) -> None:
             raise ValueError("CSV supports counting and quad_grid measures; use JSON for simple_nonatomic")
 
 
-def load_pair(path, fmt: str | None = None) -> ProbabilityPair:
-    """Load a pair saved by save_pair; validation errors carry row numbers."""
-    path = Path(path)
-    fmt = fmt or ("json" if path.suffix == ".json" else "csv")
-    if fmt == "json":
-        obj = json.loads(path.read_text())
-        return ProbabilityPair(measure_from_json(obj["measure"]), obj["p"], obj["q"])
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
+def read_float_csv(path) -> tuple[list[str], list[list[float]]]:
+    """The stripped header and the float rows of a CSV file, skipping blank
+    rows; every error names the file and the row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -258,6 +252,19 @@ def load_pair(path, fmt: str | None = None) -> ProbabilityPair:
                 rows.append([float(x) for x in row])
             except ValueError as exc:
                 raise MeasureError(f"{path}: row {lineno}: {exc}") from exc
+    return header, rows
+
+
+def load_pair(path, fmt: str | None = None) -> ProbabilityPair:
+    """Load a pair saved by save_pair; validation errors carry row numbers."""
+    path = Path(path)
+    fmt = fmt or ("json" if path.suffix == ".json" else "csv")
+    if fmt == "json":
+        obj = json.loads(path.read_text())
+        return ProbabilityPair(measure_from_json(obj["measure"]), obj["p"], obj["q"])
+    if fmt != "csv":
+        raise ValueError(f"unknown format {fmt!r}")
+    header, rows = read_float_csv(path)
     if header == ["atom", "p", "q"]:
         measure = Counting(len(rows))
         p = [r[1] for r in rows]

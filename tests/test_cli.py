@@ -133,6 +133,19 @@ class TestProbeCommand:
         validate("probe_envelope", obj)
         assert obj["holds"] is True
 
+    @pytest.mark.parametrize("args, message", [
+        (["inequality", "--ugrid", "0:1:0"], "expected lo:hi:n"),
+        (["inequality", "--ugrid", "0:1"], "expected lo:hi:n"),
+        (["inequality", "--ugrid", "nan:1:3"], "expected lo:hi:n"),
+        (["envelope", "--vgrid", "0:20:0"], "expected lo:hi:n"),
+        (["envelope", "--c", "500"], "nothing to check"),
+    ], ids=["ugrid-n0", "ugrid-malformed", "ugrid-nan", "vgrid-n0", "c-above-grid"])
+    def test_empty_grid_rejected(self, capsys, args, message):
+        code, out, err = run_cli(capsys, ["probe", args[0], "--family", "exp"] + args[1:])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_strict_inconclusive_exit(self, capsys, tmp_path):
         u = np.linspace(0.0, 300.0, 601)
         knots = tmp_path / "slow.csv"
@@ -176,6 +189,18 @@ class TestConstructU0Command:
         ])
         assert code == 2
         assert "entries" in err
+
+    def test_tabulated_family(self, capsys, tmp_path):
+        u = np.linspace(-40.0, 40.0, 161)
+        knots = tmp_path / "exp_knots.csv"
+        knots.write_text("u,phi\n" + "\n".join(f"{ui},{vi}" for ui, vi in zip(u, np.exp(u))) + "\n")
+        code, out, err = run_cli(capsys, [
+            "construct-u0", "--family", f"tabulated:{knots}", "--alpha", "0.3",
+        ])
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        validate("construct_u0", obj)
+        assert obj["certificate_ok"] is True
 
     def test_constructed_u0_feeds_kappa(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, [
@@ -271,6 +296,19 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "row 3" in err
+
+    @pytest.mark.parametrize("kind", ["seq", "tabulated"])
+    def test_bad_csv_cell_names_file_and_row(self, capsys, tmp_path, pair_csv, kind):
+        bad = tmp_path / "bad.csv"
+        if kind == "seq":
+            bad.write_text("u0\n0.5\nabc\n")
+            argv = ["kappa", "--family", "exp", "--pair", pair_csv, "--alpha", "0.5", "--u0", f"seq:{bad}"]
+        else:
+            bad.write_text("u,phi\n0,1\n1,abc\n")
+            argv = ["validate-phi", "--family", f"tabulated:{bad}"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert f"{bad}: row 3: could not convert string to float: 'abc'" in err
 
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(capsys, [

@@ -128,6 +128,8 @@ class TestInequalityProbe:
             pointwise_inequality_probe(ClassicalExp(), 1.2, 1.0, grid)
         with pytest.raises(ValueError):
             pointwise_inequality_probe(ClassicalExp(), 0.5, -1.0, grid)
+        with pytest.raises(ValueError, match="nothing to check"):
+            pointwise_inequality_probe(ClassicalExp(), 0.5, 1.0, [])
 
 
 class TestKaniadakisCertificate:
@@ -180,13 +182,19 @@ class TestGrowthEnvelope:
             np.linspace(0, 120, 241), np.linspace(0, 20, 41),
         )
         assert not check.holds
-        assert check.counterexamples
+        assert len(check.counterexamples) > 0
+        # columns (u, v, log lhs, log rhs): every row has lhs above rhs
+        assert np.all(check.counterexamples[:, 2] > check.counterexamples[:, 3])
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             growth_envelope_check(ClassicalExp(), 0.5, 1.0, 0.0, [0.0, 1.0], [0.0])
         with pytest.raises(ValueError):
             growth_envelope_check(ClassicalExp(), 2.0, 1.0, 0.0, [0.0, 1.0], [-1.0])
+        with pytest.raises(ValueError, match="nothing to check"):
+            growth_envelope_check(ClassicalExp(), 2.0, 1.0, 500.0, [0.0, 1.0], [0.0])
+        with pytest.raises(ValueError, match="nothing to check"):
+            growth_envelope_check(ClassicalExp(), 2.0, 1.0, 0.0, [0.0, 1.0], [])
 
 
 ALL_BUILTINS = BOUNDED_FAMILIES + ["counterexample"]
@@ -219,6 +227,30 @@ class TestU0Construction:
             applicable = rhs <= log_eps
             bad = applicable & (lhs > rhs + 1e-7)
             assert not np.any(bad), f"{spec}: term {i} fails at u={u[bad][:3]}"
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("spec, u_knots", [
+        ("exp", np.linspace(-40.0, 40.0, 161)),
+        ("exp", np.linspace(-10.0, 10.0, 41)),
+        ("tsallis:0.5", np.linspace(-1.9, 40.0, 200)),
+        # at alpha = 0.5, (-0.9 + lambda_1) - lambda_1 rounds to below -0.9
+        ("exp", np.linspace(-0.9, 10.1, 111)),
+    ], ids=["exp-161", "exp-41", "tsallis-0.5", "exp-rounded-edge"])
+    def test_tabulated_certificate_and_soundness(self, spec, u_knots, alpha):
+        """On a tabulated family the construction stays on the knot range and
+        its boundaries are sound wherever the inequality can be sampled."""
+        fam = TabulatedMonotone(list(zip(u_knots, np.asarray(parse_family_spec(spec).phi(u_knots)))))
+        con = construct_u0_sequence(fam, alpha=alpha)
+        assert con.certificate_ok
+        log_alpha = math.log(alpha)
+        log_eps = math.log(con.epsilon)
+        for u0_i, c_i in zip(con.u0_sequence, con.c_sequence):
+            lo = max(c_i + 1e-9, u_knots[0] + u0_i + 1e-9)
+            u = np.linspace(lo, u_knots[-1], 2001)
+            lhs = log_alpha + np.asarray(fam.log_phi(u))
+            rhs = np.asarray(fam.log_phi(u - u0_i))
+            bad = (rhs <= log_eps) & (lhs > rhs + 1e-7)
+            assert not np.any(bad), f"u0={u0_i} fails at u={u[bad][:3]}"
 
     def test_eta_scan_and_explicit_eta(self):
         fam = CounterexamplePhi()
