@@ -60,7 +60,7 @@ def _parse_u0(spec: str, size: int):
             raise ValueError("const u0 must be positive")
         return value
     if kind == "seq":
-        header, rows = read_float_csv(arg)
+        header, rows, _ = read_float_csv(arg)
         if header != ["u0"]:
             raise ValueError(f"{arg}: expected single-column CSV with header 'u0'")
         arr = np.asarray(rows, dtype=float).reshape(-1)

@@ -500,26 +500,29 @@ def construct_u0_sequence(
     epsilon = math.exp(log_eps)
 
     u_eps = family.phi_inv(epsilon)
-    boundaries = np.array([
-        _boundary_sup(family, log_alpha, float(lam_n), log_eps, float(lam_n + u_eps)) for lam_n in lambdas
-    ])
-    phi_at = _phi_or_zero(family, boundaries)
-
-    indices = []
-    prev = -1
+    # the selection walks forward through the lambdas and usually stops well
+    # before the last, so each boundary is computed only when the walk reaches it
+    walk = iter(range(lambdas.size))
+    indices, c_seq, phi_c_seq = [], [], []
     for i in range(n_terms):
         cap = summability_target * 2.0 ** -(i + 2)
-        candidates = np.nonzero(phi_at[prev + 1:] <= cap)[0]
-        if candidates.size == 0:
+        for j in walk:
+            lam_n = float(lambdas[j])
+            c = _boundary_sup(family, log_alpha, lam_n, log_eps, float(lam_n + u_eps))
+            phi_c = _phi_or_zero(family, [c])[0]
+            if phi_c <= cap:
+                break
+        else:
             raise ConstructionError(
                 "boundary values did not decay within the lambda range; construction inconclusive"
             )
-        prev = prev + 1 + int(candidates[0])
-        indices.append(prev)
+        indices.append(j)
+        c_seq.append(c)
+        phi_c_seq.append(phi_c)
 
     u0_seq = lambdas[indices]
-    c_seq = boundaries[indices]
-    partial = float(np.sum(phi_at[indices]))
+    c_seq = np.array(c_seq)
+    partial = float(np.sum(phi_c_seq))
     # further terms would be capped at target * 2^-(i+2); their total is below this
     tail_bound = summability_target * 2.0 ** -(n_terms + 1)
     return U0Construction(

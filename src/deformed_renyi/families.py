@@ -16,10 +16,10 @@ import numpy as np
 
 from .measures import read_float_csv
 
-# Saturation ceiling for phi in linear space.  Values whose true magnitude
-# exceeds PHI_MAX are reported as +inf so that integrators treat them as
-# divergence evidence instead of silently overflowing.  log_phi never
-# saturates; probes work in log space.
+# Saturation ceiling for phi in linear space: phi is +inf wherever
+# log phi > LOG_PHI_MAX, so that integrators treat it as divergence evidence
+# instead of silently overflowing; NaN stays NaN.  log_phi never saturates;
+# probes work in log space.
 PHI_MAX = 1e300
 LOG_PHI_MAX = math.log(PHI_MAX)
 
@@ -30,13 +30,6 @@ class DomainError(ValueError):
 
 class FamilyParameterError(ValueError):
     """Family parameter outside its admissible range."""
-
-
-def _saturate_exp(log_values):
-    """exp() with the PHI_MAX ceiling mapped to +inf."""
-    log_values = np.asarray(log_values, dtype=float)
-    out = np.where(log_values > LOG_PHI_MAX, np.inf, np.exp(np.minimum(log_values, LOG_PHI_MAX)))
-    return out
 
 
 def _scalar_like(x, arr):
@@ -61,6 +54,8 @@ class DeformedExponential:
     The public maps accept scalars or arrays and return a float for a scalar
     input.  Subclasses implement only the array hooks _log_phi, _phi_inv and
     _phi_inv_deriv; the two inverse hooks receive float arrays with v > 0.
+    Each hook returns a fresh float array of its input's shape (0-d included)
+    and never writes into its input, so phi can saturate the result in place.
     """
 
     family_id: str = "base"
@@ -74,7 +69,12 @@ class DeformedExponential:
     def phi(self, u):
         """phi(u) >= 0, with values above PHI_MAX reported as +inf."""
         u = np.asarray(u, dtype=float)
-        return _scalar_like(u, _saturate_exp(self._log_phi(u)))
+        out = self._log_phi(u)
+        saturated = out > LOG_PHI_MAX
+        with np.errstate(over="ignore"):
+            np.exp(out, out=out)
+        out[saturated] = np.inf
+        return _scalar_like(u, out)
 
     def phi_inv(self, v):
         v = self._check_positive(v)
@@ -114,7 +114,7 @@ class DeformedExponential:
     @staticmethod
     def _check_positive(v):
         v = np.asarray(v, dtype=float)
-        if np.any(~(v > 0)):
+        if not np.all(v > 0):
             raise DomainError("phi_inv requires v > 0")
         return v
 
@@ -160,15 +160,25 @@ class TsallisQ(DeformedExponential):
         return {"q": self.q}
 
     def _log_phi(self, u):
+        out = np.maximum(u, -self.m, out=np.empty_like(u))
+        np.divide(out, self.m, out=out)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(u > -self.m, self.m * np.log1p(np.maximum(u, -self.m) / self.m), -np.inf)
+            np.log1p(out, out=out)
+        np.multiply(out, self.m, out=out)
+        out[~(u > -self.m)] = -np.inf
+        return out
 
     def _phi_inv(self, v):
         # inverse of (1 + u/m)^m, equal to the q-logarithm of the effective q
-        return self.m * np.expm1(np.log(v) / self.m)
+        out = np.log(v, out=np.empty_like(v))
+        np.divide(out, self.m, out=out)
+        np.expm1(out, out=out)
+        return np.multiply(out, self.m, out=out)
 
     def _phi_inv_deriv(self, v):
-        return np.exp((1.0 / self.m - 1.0) * np.log(v))
+        out = np.log(v, out=np.empty_like(v))
+        np.multiply(out, 1.0 / self.m - 1.0, out=out)
+        return np.exp(out, out=out)
 
 
 class KaniadakisKappa(DeformedExponential):
@@ -195,17 +205,25 @@ class KaniadakisKappa(DeformedExponential):
     def _log_phi(self, u):
         if self.kappa == 0.0:
             return u.copy()
-        return np.arcsinh(self.kappa * u) / self.kappa
+        out = np.multiply(u, self.kappa, out=np.empty_like(u))
+        np.arcsinh(out, out=out)
+        return np.divide(out, self.kappa, out=out)
 
     def _phi_inv(self, v):
+        out = np.log(v, out=np.empty_like(v))
         if self.kappa == 0.0:
-            return np.log(v)
-        return np.sinh(self.kappa * np.log(v)) / self.kappa
+            return out
+        np.multiply(out, self.kappa, out=out)
+        np.sinh(out, out=out)
+        return np.divide(out, self.kappa, out=out)
 
     def _phi_inv_deriv(self, v):
         if self.kappa == 0.0:
-            return 1.0 / v
-        return np.cosh(self.kappa * np.log(v)) / v
+            return np.divide(1.0, v, out=np.empty_like(v))
+        out = np.log(v, out=np.empty_like(v))
+        np.multiply(out, self.kappa, out=out)
+        np.cosh(out, out=out)
+        return np.divide(out, v, out=out)
 
 
 class CounterexamplePhi(DeformedExponential):
@@ -221,20 +239,33 @@ class CounterexamplePhi(DeformedExponential):
     _LOG_SPLIT = 0.5  # log phi(0)
 
     def _log_phi(self, u):
-        return np.where(u >= 0.0, 0.5 * (u + 1.0) ** 2, u + 0.5)
+        out = np.add(u, 1.0, out=np.empty_like(u))
+        np.square(out, out=out)
+        np.multiply(out, 0.5, out=out)
+        np.add(u, 0.5, out=out, where=~(u >= 0.0))
+        return out
 
     def _phi_inv(self, v):
-        logv = np.log(v)
+        logv = np.log(v, out=np.empty_like(v))
+        out = np.multiply(logv, 2.0, out=np.empty_like(v))
+        np.maximum(out, 0.0, out=out)
         with np.errstate(invalid="ignore"):
-            upper = np.sqrt(np.maximum(2.0 * logv, 0.0)) - 1.0
-        return np.where(logv >= self._LOG_SPLIT, upper, logv - 0.5)
+            np.sqrt(out, out=out)
+        np.subtract(out, 1.0, out=out)
+        np.subtract(logv, 0.5, out=out, where=~(logv >= self._LOG_SPLIT))
+        return out
 
     def _phi_inv_deriv(self, v):
         # at the branch junction v = e^(1/2) both branches give 1/v
-        logv = np.log(v)
+        logv = np.log(v, out=np.empty_like(v))
+        out = np.multiply(logv, 2.0, out=np.empty_like(v))
+        np.maximum(out, 1.0e-300, out=out)
         with np.errstate(invalid="ignore", divide="ignore"):
-            upper = 1.0 / (v * np.sqrt(np.maximum(2.0 * logv, 1.0e-300)))
-        return np.where(logv >= self._LOG_SPLIT, upper, 1.0 / v)
+            np.sqrt(out, out=out)
+            np.multiply(v, out, out=out)
+            np.divide(1.0, out, out=out)
+        np.divide(1.0, v, out=out, where=~(logv >= self._LOG_SPLIT))
+        return out
 
 
 class TabulatedMonotone(DeformedExponential):
@@ -276,7 +307,7 @@ class TabulatedMonotone(DeformedExponential):
             raise DomainError(
                 f"u outside tabulated range [{self.u_knots[0]}, {self.u_knots[-1]}]"
             )
-        return np.interp(u, self.u_knots, self.log_knots)
+        return np.asarray(np.interp(u, self.u_knots, self.log_knots))
 
     def _segment(self, v):
         """(log v, i) with log v inside the rising knot segment [i - 1, i]."""
@@ -303,7 +334,7 @@ class TabulatedMonotone(DeformedExponential):
     @classmethod
     def from_csv(cls, path):
         """Load knots from CSV with header 'u,phi', u strictly increasing."""
-        header, knots = read_float_csv(path)
+        header, knots, _ = read_float_csv(path)
         if header != ["u", "phi"]:
             raise ValueError(f"{path}: expected header 'u,phi'")
         return cls(knots)

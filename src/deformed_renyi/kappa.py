@@ -68,12 +68,20 @@ def interpolation_base(family: DeformedExponential, pair: ProbabilityPair, alpha
     """alpha phi^-1(p) + (1-alpha) phi^-1(q), the fixed part of the integrand."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha * np.asarray(family.phi_inv(pair.p)) + (1.0 - alpha) * np.asarray(family.phi_inv(pair.q))
+    base = family.phi_inv(pair.p)
+    base *= alpha
+    rest = family.phi_inv(pair.q)
+    rest *= 1.0 - alpha
+    base += rest
+    return base
 
 
-def _normalization(family: DeformedExponential, pair: ProbabilityPair, base, u0_arr, kappa: float) -> float:
-    """N(kappa) from a precomputed interpolation base."""
-    return integrate(pair.measure, family.phi(base + kappa * u0_arr))
+def _normalization(family: DeformedExponential, pair: ProbabilityPair, base, u0_arr, kappa: float, work) -> float:
+    """N(kappa) from a precomputed interpolation base; base + kappa u0 is
+    formed in the caller's work buffer, which is overwritten."""
+    np.multiply(u0_arr, kappa, out=work)
+    np.add(base, work, out=work)
+    return integrate(pair.measure, family.phi(work))
 
 
 def normalization_functional(
@@ -87,7 +95,8 @@ def normalization_functional(
     if not math.isfinite(kappa):
         raise ValueError("kappa must be finite")
     u0_arr = as_u0_array(u0, pair.measure)
-    return _normalization(family, pair, interpolation_base(family, pair, alpha), u0_arr, kappa)
+    base = interpolation_base(family, pair, alpha)
+    return _normalization(family, pair, base, u0_arr, kappa, np.empty_like(base))
 
 
 def solve_kappa(
@@ -112,13 +121,14 @@ def solve_kappa(
         raise ValueError("tol must be positive")
     u0_arr = as_u0_array(u0, pair.measure)
     base = interpolation_base(family, pair, alpha)
+    work = np.empty_like(base)
 
     evals = 0
 
     def n_of(kappa: float) -> float:
         nonlocal evals
         evals += 1
-        return _normalization(family, pair, base, u0_arr, kappa)
+        return _normalization(family, pair, base, u0_arr, kappa, work)
 
     n0 = n_of(0.0)
     if abs(n0 - 1.0) <= tol:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +33,18 @@ class Counting:
     """Counting measure on {1, ..., n_atoms} (leading block of the naturals)."""
 
     n_atoms: int
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "counting"
 
     def __post_init__(self):
         if self.n_atoms < 1:
             raise MeasureError("n_atoms must be >= 1")
+        object.__setattr__(self, "weights", _readonly(np.ones(self.n_atoms)))
 
     @property
     def size(self) -> int:
         return self.n_atoms
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.ones(self.n_atoms)
 
     def to_json(self):
         return {"kind": self.kind, "n_atoms": self.n_atoms}
@@ -142,13 +140,20 @@ def measure_from_json(obj) -> MeasureModel:
 
 
 def integrate(measure: MeasureModel, values) -> float:
-    """Integral of per-atom values against the measure; +inf inputs propagate."""
+    """Integral of per-atom values against the measure.
+
+    Any +inf value makes the integral +inf, even beside -inf or NaN.  The
+    weights are positive, so +inf can only turn the dot product into +inf or
+    NaN, and the values are searched for +inf only in the NaN case.  (+inf
+    beside -inf raises numpy's invalid-value warning on the way.)
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (measure.size,):
         raise MeasureError(f"expected {measure.size} values, got shape {values.shape}")
-    if np.any(np.isposinf(values)):
+    total = float(measure.weights @ values)
+    if math.isnan(total) and np.any(np.isposinf(values)):
         return math.inf
-    return float(measure.weights @ values)
+    return total
 
 
 def normalize(measure: MeasureModel, raw) -> np.ndarray:
@@ -233,16 +238,17 @@ def save_pair(pair: ProbabilityPair, path, fmt: str | None = None) -> None:
             raise ValueError("CSV supports counting and quad_grid measures; use JSON for simple_nonatomic")
 
 
-def read_float_csv(path) -> tuple[list[str], list[list[float]]]:
-    """The stripped header and the float rows of a CSV file, skipping blank
-    rows; every error names the file and the row."""
+def read_float_csv(path) -> tuple[list[str], list[list[float]], list[int]]:
+    """The stripped header, the float rows of a CSV file and the file line
+    number of each row, skipping blank rows; every error names the file and
+    the row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise MeasureError(f"{path}: empty file")
         header = [h.strip() for h in header]
-        rows = []
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -252,7 +258,8 @@ def read_float_csv(path) -> tuple[list[str], list[list[float]]]:
                 rows.append([float(x) for x in row])
             except ValueError as exc:
                 raise MeasureError(f"{path}: row {lineno}: {exc}") from exc
-    return header, rows
+            linenos.append(lineno)
+    return header, rows, linenos
 
 
 def load_pair(path, fmt: str | None = None) -> ProbabilityPair:
@@ -264,7 +271,7 @@ def load_pair(path, fmt: str | None = None) -> ProbabilityPair:
         return ProbabilityPair(measure_from_json(obj["measure"]), obj["p"], obj["q"])
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
-    header, rows = read_float_csv(path)
+    header, rows, linenos = read_float_csv(path)
     if header == ["atom", "p", "q"]:
         measure = Counting(len(rows))
         p = [r[1] for r in rows]
@@ -275,7 +282,7 @@ def load_pair(path, fmt: str | None = None) -> ProbabilityPair:
         q = [r[3] for r in rows]
     else:
         raise MeasureError(f"{path}: unrecognized header {header}")
-    for lineno, (pi, qi) in enumerate(zip(p, q), start=2):
+    for lineno, pi, qi in zip(linenos, p, q):
         if pi <= 0 or qi <= 0:
             raise PairValidationError(f"{path}: row {lineno}: probabilities must be > 0 (p={pi}, q={qi})")
     return ProbabilityPair(measure, p, q)

@@ -297,6 +297,15 @@ class TestExitCodes:
         assert code == 2
         assert "row 3" in err
 
+    def test_validation_error_counts_blank_lines(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("atom,p,q\n1,0.5,0.5\n\n2,0.5,0\n")
+        code, _, err = run_cli(capsys, [
+            "divergence", "--family", "exp", "--pair", str(bad), "--alpha", "0.5",
+        ])
+        assert code == 2
+        assert f"{bad}: row 4: probabilities must be > 0" in err
+
     @pytest.mark.parametrize("kind", ["seq", "tabulated"])
     def test_bad_csv_cell_names_file_and_row(self, capsys, tmp_path, pair_csv, kind):
         bad = tmp_path / "bad.csv"

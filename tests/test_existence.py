@@ -260,6 +260,27 @@ class TestU0Construction:
             construct_u0_sequence(ClassicalExp(), alpha=0.3, eta=0.0,
                                   lambda_sequence=np.array([2.0, 1.0, 0.5]))  # alpha > e^-2 fails
 
+    @pytest.mark.parametrize("spec", ["exp", "tsallis:2"])
+    def test_boundaries_computed_only_up_to_last_selected(self, spec, monkeypatch):
+        from deformed_renyi import existence
+
+        calls = []
+        boundary_sup = existence._boundary_sup
+
+        def counted(*args):
+            calls.append(args[2])
+            return boundary_sup(*args)
+
+        monkeypatch.setattr(existence, "_boundary_sup", counted)
+        con = construct_u0_sequence(parse_family_spec(spec), alpha=0.3)
+        assert len(calls) == con.lambda_indices[-1] + 1 < 64
+        assert calls == sorted(calls, reverse=True)  # each lambda once, in order
+
+    def test_boundaries_that_never_decay_are_inconclusive(self):
+        # three lambdas cannot supply 16 terms
+        with pytest.raises(ConstructionError, match="did not decay"):
+            construct_u0_sequence(ClassicalExp(), 0.3, lambda_sequence=np.array([0.5, 0.25, 0.125]))
+
     def test_bad_lambda_sequence(self):
         with pytest.raises(ValueError):
             construct_u0_sequence(ClassicalExp(), 0.3, lambda_sequence=np.array([0.5, 0.5]))
