@@ -18,6 +18,7 @@ from deformed_renyi import (
     limit_divergence,
     parse_family_spec,
     phi_divergence,
+    sweep,
 )
 
 FAMILIES = ["exp", "tsallis:0.5", "kaniadakis:0.5", "kaniadakis:-0.25"]
@@ -32,7 +33,7 @@ def main(out_path="sweep_families.csv"):
     columns = {}
     for spec in FAMILIES:
         family = parse_family_spec(spec)
-        columns[spec] = [generalized_renyi(family, pair, float(a)).value for a in alphas]
+        columns[spec] = [report.value for report in sweep(family, pair, alphas)]
 
     out = Path(out_path)
     with out.open("w", newline="") as fh:

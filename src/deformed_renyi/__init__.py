@@ -53,6 +53,7 @@ from .divergences import (
     kl_divergence,
     limit_divergence,
     phi_divergence,
+    sweep,
     tsallis_relative_entropy,
 )
 from .existence import (

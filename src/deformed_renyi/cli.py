@@ -26,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .divergences import classical_renyi, generalized_renyi, kl_divergence, tsallis_relative_entropy
+from .divergences import classical_renyi, generalized_renyi, kl_divergence, sweep, tsallis_relative_entropy
 from .existence import (
     VERDICT_INCONCLUSIVE,
+    _shifted_range,
     adversarial_nonexistence_demo,
     construct_u0_sequence,
     growth_envelope_check,
@@ -44,6 +45,9 @@ EXIT_VALIDATION = 2
 EXIT_NO_ROOT = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_USAGE = 64
+
+UGRID_DEFAULT = "-50:200:2001"
+VGRID_DEFAULT = "0:20:201"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,17 +144,18 @@ def _cmd_sweep(args) -> int:
     family = parse_family_spec(args.family)
     pair = load_pair(args.pair)
     u0 = _parse_u0(args.u0, pair.measure.size)
-    rows = []
-    worst = EXIT_OK
-    for alpha in _parse_alphas(args.alphas):
-        report = generalized_renyi(family, pair, float(alpha), u0=u0, tol=args.tol)
-        rows.append([
-            format(alpha, ".17g"), format(report.kappa, ".17g"),
-            format(report.value, ".17g"), report.status.value,
-        ])
-        worst = max(worst, _status_exit(report.status))
+    reports = sweep(family, pair, _parse_alphas(args.alphas), u0=u0, tol=args.tol)
+    rows = [
+        [format(r.alpha, ".17g"), format(r.kappa, ".17g"), format(r.value, ".17g"), r.status.value]
+        for r in reports
+    ]
     _emit(_csv_text(["alpha", "kappa", "value", "status"], rows), args.out)
-    return worst
+    return max(_status_exit(r.status) for r in reports)
+
+
+def _within(grid, bounds):
+    lo, hi = bounds
+    return grid[(grid >= lo) & (grid <= hi)]
 
 
 def _cmd_probe(args) -> int:
@@ -161,15 +166,23 @@ def _cmd_probe(args) -> int:
         if args.strict and report.verdict == VERDICT_INCONCLUSIVE:
             return EXIT_INCONCLUSIVE
         return EXIT_OK
+    # a default grid is clipped so that every point the probe evaluates lies
+    # where a tabulated family is defined; a grid given by the caller is used as is
+    u = _parse_grid(UGRID_DEFAULT if args.ugrid is None else args.ugrid)
     if args.kind == "inequality":
-        result = pointwise_inequality_probe(family, args.alpha, args.u0_value, _parse_grid(args.ugrid))
+        if args.ugrid is None:  # the probe evaluates phi at u and u - u0
+            u = _within(u, _shifted_range(family, args.u0_value))
+        result = pointwise_inequality_probe(family, args.alpha, args.u0_value, u)
         _emit_json(result.to_json(), args)
         return EXIT_OK
     if args.kind == "envelope":
-        check = growth_envelope_check(
-            family, args.bound_k, args.lambda0, args.c,
-            _parse_grid(args.ugrid), _parse_grid(args.vgrid),
-        )
+        v = _parse_grid(VGRID_DEFAULT if args.vgrid is None else args.vgrid)
+        if args.vgrid is None:
+            lo, hi = _shifted_range(family, 0.0)
+            v = v[lo + v <= hi]
+        if args.ugrid is None:  # the probe evaluates phi at u and u + v
+            u = _within(u, _shifted_range(family, -v.max()))
+        check = growth_envelope_check(family, args.bound_k, args.lambda0, args.c, u, v)
         _emit_json(check.to_json(), args)
         return EXIT_OK
     raise ValueError(f"unknown probe kind {args.kind!r}")
@@ -263,8 +276,8 @@ def build_parser() -> _Parser:
     p.add_argument("--u0-value", type=float, default=1.0)
     p.add_argument("--bound-k", type=float, default=math.e)
     p.add_argument("--c", type=float, default=-math.inf)
-    p.add_argument("--ugrid", default="-50:200:2001")
-    p.add_argument("--vgrid", default="0:20:201")
+    p.add_argument("--ugrid", help=f"lo:hi:n (default {UGRID_DEFAULT}, clipped to a tabulated family's range)")
+    p.add_argument("--vgrid", help=f"lo:hi:n (default {VGRID_DEFAULT}, clipped to a tabulated family's range)")
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("construct-u0", parents=[common], help="build a shift sequence for the counting measure")

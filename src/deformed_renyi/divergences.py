@@ -20,6 +20,7 @@ from .jsonutil import jsonable_float
 from .kappa import (
     KappaSolveResult,
     SolveStatus,
+    _sweep_kappa,
     as_u0_array,
     classical_kappa,
     solve_kappa,
@@ -58,10 +59,31 @@ def generalized_renyi(
 ) -> DivergenceReport:
     """kappa(alpha) / (alpha (1 - alpha)); +inf when the solver reports no root."""
     result = solve_kappa(family, pair, alpha, u0=u0, tol=tol)
-    scale = alpha * (1.0 - alpha)
-    value = result.kappa / scale if math.isfinite(result.kappa) else math.inf
-    label = u0_label if u0_label is not None else _u0_label(u0)
-    return DivergenceReport(alpha, result.kappa, value, family.family_id, label, result.status, result)
+    return _report(family, result, u0_label if u0_label is not None else _u0_label(u0))
+
+
+def sweep(
+    family: DeformedExponential,
+    pair: ProbabilityPair,
+    alphas,
+    u0=1.0,
+    tol: float = 1e-12,
+) -> list[DivergenceReport]:
+    """generalized_renyi at each alpha, in the given order, by one
+    predictor-corrector continuation: phi^-1(p) and phi^-1(q) are computed
+    once, and each solve starts from the tangent predictor of the previous
+    converged alpha (from kappa = 0 after one that did not converge).  Every
+    report meets the same tolerance as a single solve; a non-converged alpha
+    does not stop the sweep.
+    """
+    label = _u0_label(u0)
+    return [_report(family, result, label) for result in _sweep_kappa(family, pair, alphas, u0, tol)]
+
+
+def _report(family: DeformedExponential, result: KappaSolveResult, u0_label: str) -> DivergenceReport:
+    alpha = result.alpha
+    value = result.kappa / (alpha * (1.0 - alpha)) if math.isfinite(result.kappa) else math.inf
+    return DivergenceReport(alpha, result.kappa, value, family.family_id, u0_label, result.status, result)
 
 
 def _u0_label(u0) -> str:
@@ -160,10 +182,11 @@ def limit_divergence(
 ) -> LimitEstimate:
     """Extrapolate the endpoint limit along alphas tending to 0 or 1.
 
-    The estimate is the final table entry plus a single Richardson step from
-    the last two entries; the full table is returned so convergence can be
-    judged.  A table whose successive differences fail to shrink flags the
-    estimate as non-converged.
+    The table comes from interior solves (one `sweep`), never from the
+    derivative of kappa at the endpoint itself.  The estimate is the final
+    table entry plus a single Richardson step from the last two entries; the
+    full table is returned so convergence can be judged.  A table whose
+    successive differences fail to shrink flags the estimate as non-converged.
     """
     if endpoint not in (0, 1):
         raise ValueError("endpoint must be 0 or 1")
@@ -176,13 +199,11 @@ def limit_divergence(
     if np.any(dist <= 0) or np.any(np.diff(dist) >= 0):
         raise ValueError("alpha_sequence must approach the endpoint strictly monotonically inside (0, 1)")
 
-    values = []
-    for a in alphas:
-        report = generalized_renyi(family, pair, float(a), u0=u0, tol=tol)
+    reports = sweep(family, pair, alphas, u0=u0, tol=tol)
+    for report in reports:
         if report.status is not SolveStatus.CONVERGED:
-            raise ArithmeticError(f"solver status {report.status.value} at alpha={a}")
-        values.append(report.value)
-    values = np.asarray(values)
+            raise ArithmeticError(f"solver status {report.status.value} at alpha={report.alpha}")
+    values = np.asarray([report.value for report in reports])
 
     diffs = np.abs(np.diff(values))
     window = diffs[-6:]

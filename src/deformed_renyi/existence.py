@@ -66,14 +66,21 @@ def _log_exceeds(log_lhs, log_rhs):
 
 def _shifted_range(family: DeformedExponential, shift: float) -> tuple[float, float]:
     """[lo, hi] of the u at which both u - shift and u lie where log_phi is
-    defined: the knot range of a tabulated family, all of R otherwise."""
+    defined, for a shift of either sign: within the knot range of a tabulated
+    family, all of R otherwise."""
     knots = getattr(family, "u_knots", None)
     if knots is None:
         return -math.inf, math.inf
-    lo = knots[0] + shift
-    if lo - shift < knots[0]:  # rounding would step u - shift off the table
-        lo = np.nextafter(lo, math.inf)
-    return float(lo), float(knots[-1])
+    lo, hi = knots[0], knots[-1]
+    if shift > 0:
+        lo = knots[0] + shift
+        if lo - shift < knots[0]:  # rounding would step u - shift off the table
+            lo = np.nextafter(lo, math.inf)
+    elif shift < 0:
+        hi = knots[-1] + shift
+        if hi - shift > knots[-1]:
+            hi = np.nextafter(hi, -math.inf)
+    return float(lo), float(hi)
 
 
 def _phi_or_zero(family: DeformedExponential, u) -> np.ndarray:

@@ -165,7 +165,7 @@ class TsallisQ(DeformedExponential):
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log1p(out, out=out)
         np.multiply(out, self.m, out=out)
-        out[~(u > -self.m)] = -np.inf
+        out[u <= -self.m] = -np.inf  # NaN stays NaN
         return out
 
     def _phi_inv(self, v):

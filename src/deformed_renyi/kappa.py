@@ -5,10 +5,26 @@ kappa >= 0 is defined by
 
     N(kappa) = integral phi(alpha phi^-1(p) + (1-alpha) phi^-1(q) + kappa u0) dmu = 1.
 
-N is non-decreasing in kappa and N(0) <= 1 by convexity of phi, so the root is
-found by geometric bracket expansion followed by bisection.  When N jumps from
-below 1 straight to +inf the instance has no root and is reported as a
-divergent integral, never silently extrapolated.
+phi is convex and non-decreasing, so N is too, and N(0) <= 1.  The root is
+found by safeguarded Newton iteration inside a bracket [lo, hi] with
+N(lo) < 1 <= N(hi).  The slope N'(kappa) = integral u0 phi'(w) dmu comes from
+the same phi(w) values, as phi'(w) = 1 / (phi^-1)'(phi(w)).  By convexity a
+Newton step from below the root lands above it, and from above every step
+falls back monotonically towards it.  Geometric bracket expansion (while no
+point with N >= 1 is known) or bisection takes over whenever N' is not finite
+and positive, a step leaves the bracket or passes kappa_max, or a step is
+longer than half the step two before it.  When N jumps from below 1 straight
+to +inf the instance has no root and is reported as a divergent integral,
+never silently extrapolated; a NaN value of N is an error.
+
+A sweep over several alphas computes phi^-1(p) and phi^-1(q) once and starts
+each solve from the predictor kappa_i + (dkappa/dalpha) (alpha_{i+1} - alpha_i),
+where the implicit function theorem gives
+
+    dkappa/dalpha = -integral phi'(w) (phi^-1(p) - phi^-1(q)) dmu / N'(kappa_i)
+
+at the previous converged point (predictor-corrector continuation).  After an
+alpha that did not converge, the next one starts cold from kappa = 0.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .families import DeformedExponential
+from .families import DeformedExponential, DomainError
 from .jsonutil import jsonable_float
 from .measures import MeasureModel, ProbabilityPair, integrate
 
@@ -64,24 +80,28 @@ def as_u0_array(u0, measure: MeasureModel) -> np.ndarray:
     return arr
 
 
+def _interpolate(inv_p, inv_q, alpha: float, out, rest):
+    """alpha inv_p + (1-alpha) inv_q into out, using rest as scratch."""
+    np.multiply(inv_p, alpha, out=out)
+    np.multiply(inv_q, 1.0 - alpha, out=rest)
+    return np.add(out, rest, out=out)
+
+
 def interpolation_base(family: DeformedExponential, pair: ProbabilityPair, alpha: float) -> np.ndarray:
     """alpha phi^-1(p) + (1-alpha) phi^-1(q), the fixed part of the integrand."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    base = family.phi_inv(pair.p)
-    base *= alpha
-    rest = family.phi_inv(pair.q)
-    rest *= 1.0 - alpha
-    base += rest
-    return base
+    inv_p = family.phi_inv(pair.p)
+    inv_q = family.phi_inv(pair.q)
+    return _interpolate(inv_p, inv_q, alpha, out=inv_p, rest=inv_q)
 
 
-def _normalization(family: DeformedExponential, pair: ProbabilityPair, base, u0_arr, kappa: float, work) -> float:
-    """N(kappa) from a precomputed interpolation base; base + kappa u0 is
-    formed in the caller's work buffer, which is overwritten."""
+def _integrand(family: DeformedExponential, base, u0_arr, kappa: float, work) -> np.ndarray:
+    """phi(base + kappa u0), a fresh array; base + kappa u0 is formed in the
+    caller's work buffer, which is overwritten."""
     np.multiply(u0_arr, kappa, out=work)
     np.add(base, work, out=work)
-    return integrate(pair.measure, family.phi(work))
+    return family.phi(work)
 
 
 def normalization_functional(
@@ -96,7 +116,130 @@ def normalization_functional(
         raise ValueError("kappa must be finite")
     u0_arr = as_u0_array(u0, pair.measure)
     base = interpolation_base(family, pair, alpha)
-    return _normalization(family, pair, base, u0_arr, kappa, np.empty_like(base))
+    return integrate(pair.measure, _integrand(family, base, u0_arr, kappa, np.empty_like(base)))
+
+
+def _phi_prime(family: DeformedExponential, values):
+    """phi'(w) from values = phi(w) > 0 as 1 / (phi^-1)'(phi(w)), and 0 where
+    phi(w) = 0; a fresh array.  None when the family cannot differentiate its
+    inverse at some value (a flat or end segment of a tabulated family).
+    (phi^-1)' of a tiny phi(w) may overflow to inf, which gives phi'(w) = 0."""
+    with np.errstate(over="ignore", divide="ignore"):
+        try:
+            out = family.phi_inv_deriv(values)
+        except DomainError:
+            positive = values > 0
+            out = np.zeros_like(values)
+            try:
+                out[positive] = family.phi_inv_deriv(values[positive])
+            except DomainError:
+                return None
+            np.divide(1.0, out, out=out, where=positive)
+            return out
+        return np.divide(1.0, out, out=out)
+
+
+def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max_iter, guess):
+    """Solve N(kappa) = 1 from kappa = guess, or from 0 (a cold start) when
+    guess is not inside (0, kappa_max).
+
+    A warm start leaves N(0) unevaluated: lo = 0 is then a bound by convexity
+    alone, and it is evaluated, with the cold-start checks, before the first
+    fallback step.  Returns the result and phi(w) at the returned kappa when it
+    converged, else None.
+    """
+    work = np.empty_like(base)
+    evals = 0
+    values = None
+    lo, n_lo = 0.0, None           # n_lo is None until N(0) is evaluated
+    hi, n_hi = math.inf, None      # n_hi is None until some N >= 1 is seen
+    best_k, best_r = math.nan, math.inf
+    kappa = guess if 0.0 < guess < kappa_max else 0.0
+    step_1 = step_2 = math.inf     # lengths of the last step and the one before it
+    while True:
+        evals += 1
+        values = None  # frees the previous point's phi(w) before phi allocates
+        values = _integrand(family, base, u0_arr, kappa, work)
+        n = integrate(measure, values)
+        if math.isnan(n):
+            raise ArithmeticError(f"N(kappa) is NaN at kappa = {kappa!r} (alpha = {alpha!r})")
+        r = n - 1.0
+        if kappa == 0.0:
+            n_lo = n
+            if abs(r) <= tol:
+                # includes p = q, where the integrand collapses to p and kappa = 0 exactly
+                return KappaSolveResult(alpha, 0.0, r, (0.0, 0.0), evals, SolveStatus.CONVERGED), values
+            if n > 1.0:
+                raise ValueError(f"N(0) = {n} > 1; phi is not convex on the data or the pair is invalid")
+        elif n < 1.0:
+            lo, n_lo = kappa, n
+        else:
+            hi, n_hi = kappa, n
+        if abs(r) <= tol:
+            bracket = (lo, hi if n_hi is not None else kappa)
+            return KappaSolveResult(alpha, kappa, r, bracket, evals, SolveStatus.CONVERGED), values
+        if abs(r) < abs(best_r):
+            best_k, best_r = kappa, r
+        if evals >= max_iter:
+            break
+
+        step = math.nan
+        if math.isfinite(n):
+            # phi'(w), then N'(kappa); the rebinding frees the array
+            slope = _phi_prime(family, values)
+            if slope is not None:
+                slope = integrate(measure, np.multiply(slope, u0_arr, out=slope))
+                if 0.0 < slope < math.inf:
+                    step = -r / slope
+        nxt = kappa + step
+        if n_hi is None:
+            # no point with N >= 1 yet: the Newton step from below, or expansion
+            if not lo < nxt <= kappa_max:
+                if lo >= kappa_max:
+                    return KappaSolveResult(
+                        alpha, math.inf, n_lo - 1.0, (kappa_max, math.inf), evals,
+                        SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
+                    ), None
+                nxt = min(max(2.0 * lo, initial_hi), kappa_max)
+        elif not (lo < nxt < hi and abs(step) <= 0.5 * step_2):
+            if n_lo is None:
+                nxt = 0.0
+            else:
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:
+                    break  # float subdivision exhausted
+        step_2, step_1 = step_1, abs(nxt - kappa)
+        kappa = nxt
+
+    if n_hi == math.inf:
+        # N jumps from below 1 to +inf: the defining equation has no root
+        return KappaSolveResult(
+            alpha, math.inf, n_lo - 1.0, (lo, hi), evals,
+            SolveStatus.DIVERGENT_INTEGRAL, last_finite=(lo, n_lo),
+        ), None
+    return KappaSolveResult(
+        alpha, best_k, best_r, (lo, hi), evals,
+        SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
+    ), None
+
+
+def _kappa_rate(family, measure, values, u0_arr, diff, scratch) -> float:
+    """dkappa/dalpha = -integral phi'(w) diff dmu / integral phi'(w) u0 dmu
+    from values = phi(w) at a solved point; NaN when phi' is unavailable."""
+    slope = _phi_prime(family, values)
+    if slope is None:
+        return math.nan
+    n_alpha = integrate(measure, np.multiply(slope, diff, out=scratch))
+    n_kappa = integrate(measure, np.multiply(slope, u0_arr, out=slope))
+    return -n_alpha / n_kappa if 0.0 < n_kappa < math.inf else math.nan
+
+
+def _check_solve_inputs(alphas, tol) -> None:
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}; endpoints are defined only as limits")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
 
 
 def solve_kappa(
@@ -109,85 +252,47 @@ def solve_kappa(
     initial_hi: float = 1.0,
     max_iter: int = 400,
 ) -> KappaSolveResult:
-    """Solve N(kappa) = 1 for kappa >= 0.
+    """Solve N(kappa) = 1 for kappa >= 0 by safeguarded Newton iteration from
+    kappa = 0, with geometric bracket expansion from [0, initial_hi] and
+    bisection as the fallbacks (see the module docstring).
 
     Returns CONVERGED with |N(kappa) - 1| <= tol, DIVERGENT_INTEGRAL when N
     jumps from below 1 to +inf (no root exists), or BRACKET_FAILURE when
-    N(kappa) stays below 1 up to kappa_max.
+    N(kappa) stays below 1 up to kappa_max or the iteration stalls above tol.
+    `iterations` counts N evaluations, at most max_iter.  Raises
+    ArithmeticError when N evaluates to NaN.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}; endpoints are defined only as limits")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_solve_inputs([alpha], tol)
     u0_arr = as_u0_array(u0, pair.measure)
     base = interpolation_base(family, pair, alpha)
-    work = np.empty_like(base)
+    return _solve(family, pair.measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max_iter, 0.0)[0]
 
-    evals = 0
 
-    def n_of(kappa: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _normalization(family, pair, base, u0_arr, kappa, work)
-
-    n0 = n_of(0.0)
-    if abs(n0 - 1.0) <= tol:
-        # includes p = q, where the integrand collapses to p and kappa = 0 exactly
-        return KappaSolveResult(alpha, 0.0, n0 - 1.0, (0.0, 0.0), evals, SolveStatus.CONVERGED)
-    if n0 > 1.0:
-        raise ValueError(
-            f"N(0) = {n0} > 1; phi is not convex on the data or the pair is invalid"
-        )
-
-    # geometric bracket expansion from [0, initial_hi], never probing past kappa_max
-    lo, n_lo = 0.0, n0
-    hi = min(float(initial_hi), kappa_max)
-    n_hi = n_of(hi)
-    while n_hi < 1.0 and math.isfinite(n_hi):
-        lo, n_lo = hi, n_hi
-        if hi >= kappa_max:
-            return KappaSolveResult(
-                alpha, math.inf, n_lo - 1.0, (kappa_max, math.inf), evals,
-                SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
-            )
-        hi = min(hi * 2.0, kappa_max)
-        n_hi = n_of(hi)
-
-    # bisection; +inf values always fall on the hi side
-    best_k, best_r = (hi, n_hi - 1.0) if math.isfinite(n_hi) else (lo, n_lo - 1.0)
-    if abs(n_lo - 1.0) < abs(best_r):
-        best_k, best_r = lo, n_lo - 1.0
-    while evals < max_iter:
-        if abs(best_r) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break  # float subdivision exhausted
-        n_mid = n_of(mid)
-        if n_mid < 1.0:
-            lo, n_lo = mid, n_mid
-            r = n_mid - 1.0
-            if abs(r) < abs(best_r):
-                best_k, best_r = mid, r
-        else:
-            hi, n_hi = mid, n_mid
-            if math.isfinite(n_mid):
-                r = n_mid - 1.0
-                if abs(r) < abs(best_r):
-                    best_k, best_r = mid, r
-
-    if abs(best_r) <= tol:
-        return KappaSolveResult(alpha, best_k, best_r, (lo, hi), evals, SolveStatus.CONVERGED)
-    if not math.isfinite(n_hi):
-        # N jumps from below 1 to +inf: the defining equation has no root
-        return KappaSolveResult(
-            alpha, math.inf, n_lo - 1.0, (lo, hi), evals,
-            SolveStatus.DIVERGENT_INTEGRAL, last_finite=(lo, n_lo),
-        )
-    return KappaSolveResult(
-        alpha, best_k, best_r, (lo, hi), evals,
-        SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
-    )
+def _sweep_kappa(family, pair, alphas, u0, tol, kappa_max=1e6):
+    """solve_kappa at each alpha, in order, with its default initial_hi and
+    max_iter.  phi^-1(p) and phi^-1(q) are computed once; each alpha after a
+    converged one starts from the tangent predictor, each other alpha from
+    kappa = 0."""
+    alphas = [float(a) for a in alphas]
+    _check_solve_inputs(alphas, tol)
+    u0_arr = as_u0_array(u0, pair.measure)
+    inv_p = family.phi_inv(pair.p)
+    inv_q = family.phi_inv(pair.q)
+    base, scratch = np.empty_like(inv_p), np.empty_like(inv_p)
+    diff = None
+    results = []
+    guess = 0.0
+    for i, alpha in enumerate(alphas):
+        _interpolate(inv_p, inv_q, alpha, out=base, rest=scratch)
+        result, values = _solve(family, pair.measure, alpha, base, u0_arr, tol, kappa_max, 1.0, 400, guess)
+        results.append(result)
+        guess = 0.0
+        if values is not None and i + 1 < len(alphas):
+            if diff is None:
+                diff = np.subtract(inv_p, inv_q)
+            rate = _kappa_rate(family, pair.measure, values, u0_arr, diff, scratch)
+            guess = result.kappa + rate * (alphas[i + 1] - alpha)
+    return results
 
 
 def classical_kappa(pair: ProbabilityPair, alpha: float) -> float:

@@ -146,6 +146,23 @@ class TestProbeCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("kind", ["inequality", "envelope"])
+    def test_default_grids_clipped_to_tabulated_range(self, capsys, tmp_path, kind):
+        u = np.linspace(-40.0, 40.0, 161)
+        knots = tmp_path / "exp_knots.csv"
+        knots.write_text("u,phi\n" + "\n".join(f"{ui},{vi}" for ui, vi in zip(u, np.exp(u))) + "\n")
+        code, out, err = run_cli(capsys, ["probe", kind, "--family", f"tabulated:{knots}"])
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        validate(f"probe_{kind}", obj)
+        if kind == "inequality":
+            # u - u0 >= -40 and u <= 40 on the default grid's step of 1/8; exp
+            # at alpha 0.5 and u0 1 violates the inequality everywhere
+            assert (obj["grid_max"], obj["n_violations"], obj["holds"]) == (40.0, 633, False)
+        else:
+            # u in [-40, 20] so that u + v <= 40 for v in [0, 20]
+            assert (obj["n_checked"], obj["holds"]) == (481 * 201, True)
+
     def test_strict_inconclusive_exit(self, capsys, tmp_path):
         u = np.linspace(0.0, 300.0, 601)
         knots = tmp_path / "slow.csv"

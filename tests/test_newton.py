@@ -1,0 +1,123 @@
+"""The safeguarded Newton solve and the predictor-corrector sweep, checked
+against the reference bisection solve in reference_solver.py."""
+
+import math
+
+import numpy as np
+import pytest
+
+from deformed_renyi.divergences import generalized_renyi, sweep
+from deformed_renyi.families import BUILTIN_FAMILIES, ClassicalExp, TabulatedMonotone, parse_family_spec
+from deformed_renyi.kappa import SolveStatus, _sweep_kappa, normalization_functional, solve_kappa
+from deformed_renyi.measures import Counting, ProbabilityPair, QuadGrid
+from reference_solver import bisection_kappa, slope
+
+TOL = 1e-12
+ALPHAS = (0.02, 0.1, 0.5, 0.9, 0.98)
+EXP_KNOTS = np.linspace(-40.0, 40.0, 161)
+FAMILIES = [parse_family_spec(s) for s in BUILTIN_FAMILIES] + [TabulatedMonotone(list(zip(EXP_KNOTS, np.exp(EXP_KNOTS))))]
+FAMILY_IDS = list(BUILTIN_FAMILIES) + ["tabulated-exp"]
+PAIR = ProbabilityPair(Counting(2), [0.5, 0.5], [0.9, 0.1])
+
+
+def problem(measure_kind, n):
+    """A pair on the measure and a per-atom u0, both seeded by the size."""
+    measure = Counting(n) if measure_kind == "counting" else QuadGrid.trapezoid(0.0, 2.0, n)
+    rng = np.random.default_rng(n)
+    raw = rng.uniform(0.05, 1.0, size=(2, n))
+    return ProbabilityPair.from_raw(measure, raw[0], raw[1]), rng.uniform(0.5, 2.0, n)
+
+
+def check_against(family, pair, alpha, u0, result, reference):
+    """Both converged to |N - 1| <= tol, so they differ by at most
+    2 tol / N' over the kappa between them (N' is non-decreasing)."""
+    assert result.status is SolveStatus.CONVERGED
+    assert reference.status is SolveStatus.CONVERGED
+    for kappa in (result.kappa, reference.kappa):
+        assert abs(normalization_functional(family, pair, alpha, u0, kappa) - 1.0) <= TOL
+    low = min(result.kappa, reference.kappa)
+    assert abs(result.kappa - reference.kappa) <= 2.0 * TOL / slope(family, pair, alpha, u0, low)
+    assert result.iterations <= 8
+    assert result.bracket[0] <= result.kappa <= result.bracket[1]
+
+
+@pytest.mark.parametrize("n", [8, 1000])
+@pytest.mark.parametrize("measure_kind", ["counting", "trapezoid"])
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+def test_newton_matches_bisection(family, measure_kind, n):
+    pair, u0_array = problem(measure_kind, n)
+    for u0 in (1.0, u0_array):
+        for alpha in ALPHAS:
+            result = solve_kappa(family, pair, alpha, u0=u0, tol=TOL)
+            check_against(family, pair, alpha, u0, result, bisection_kappa(family, pair, alpha, u0=u0, tol=TOL))
+
+
+@pytest.mark.parametrize("n", [8, 1000])
+@pytest.mark.parametrize("measure_kind", ["counting", "trapezoid"])
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+def test_sweep_matches_single_solves(family, measure_kind, n):
+    pair, u0_array = problem(measure_kind, n)
+    for u0 in (1.0, u0_array):
+        reports = sweep(family, pair, ALPHAS, u0=u0, tol=TOL)
+        assert [r.alpha for r in reports] == list(ALPHAS)
+        for alpha, report in zip(ALPHAS, reports):
+            single = solve_kappa(family, pair, alpha, u0=u0, tol=TOL)
+            check_against(family, pair, alpha, u0, report.solver, single)
+            assert report.value == report.kappa / (alpha * (1.0 - alpha))
+            assert report.value == pytest.approx(generalized_renyi(family, pair, alpha, u0=u0).value, rel=1e-9)
+
+
+class TestSweep:
+    def test_bracket_failure_mid_sweep_then_cold_restart(self):
+        alphas = [0.05, 0.5, 0.95]
+        kappas = [solve_kappa(ClassicalExp(), PAIR, a).kappa for a in alphas]
+        kappa_max = 0.5 * (max(kappas[0], kappas[2]) + kappas[1])
+        results = _sweep_kappa(ClassicalExp(), PAIR, alphas, 1.0, TOL, kappa_max=kappa_max)
+        assert [r.status for r in results] == [
+            SolveStatus.CONVERGED, SolveStatus.BRACKET_FAILURE, SolveStatus.CONVERGED]
+        assert results[1].kappa == math.inf
+        for alpha, result in zip(alphas[::2], results[::2]):
+            single = solve_kappa(ClassicalExp(), PAIR, alpha, kappa_max=kappa_max)
+            check_against(ClassicalExp(), PAIR, alpha, 1.0, result, single)
+
+    def test_phi_inv_called_once_per_density(self):
+        class CountingExp(ClassicalExp):
+            calls = 0
+
+            def phi_inv(self, v):
+                self.calls += 1
+                return super().phi_inv(v)
+
+        family = CountingExp()
+        pair, _ = problem("counting", 1000)
+        sweep(family, pair, np.linspace(0.02, 0.98, 49))
+        assert family.calls == 2
+
+    def test_predictor_saves_evaluations(self):
+        pair, _ = problem("counting", 1000)
+        alphas = np.linspace(0.02, 0.98, 49)
+        for family in FAMILIES:
+            warm = sum(r.solver.iterations for r in sweep(family, pair, alphas))
+            cold = sum(solve_kappa(family, pair, float(a)).iterations for a in alphas)
+            assert warm <= cold, repr(family)
+
+    def test_alphas_validated_before_any_solve(self):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            sweep(ClassicalExp(), PAIR, [0.5, 1.0])
+
+
+class NanAbove(ClassicalExp):
+    """exp whose log phi is NaN above u = -0.35, so that N(kappa) is NaN for
+    kappa above ~0.05 on PAIR at alpha 0.5, below the root 0.1116."""
+
+    def _log_phi(self, u):
+        out = u.copy()
+        out[u > -0.35] = np.nan
+        return out
+
+
+def test_nan_normalization_is_an_error_not_divergent():
+    with pytest.raises(ArithmeticError, match="NaN at kappa"):
+        solve_kappa(NanAbove(), PAIR, 0.5)
+    with pytest.raises(ArithmeticError, match="NaN at kappa"):
+        sweep(NanAbove(), PAIR, [0.1, 0.5])
