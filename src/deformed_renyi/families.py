@@ -2,8 +2,9 @@
 
 A deformed exponential is a convex, non-decreasing function phi: R -> [0, inf)
 with phi(u) -> 0 as u -> -inf and phi(u) -> inf as u -> +inf.  Each family here
-exposes evaluation, the inverse on (0, inf), the derivative of the inverse, and
-the log of phi (which the existence probes use to avoid overflow).
+exposes evaluation, the inverse on (0, inf), the derivative of the inverse, the
+derivative phi' (which the kappa solve uses), and the log of phi (which the
+existence probes use to avoid overflow).
 """
 
 from __future__ import annotations
@@ -52,10 +53,14 @@ class DeformedExponential:
     """Base interface. Subclasses are immutable and safe to share across threads.
 
     The public maps accept scalars or arrays and return a float for a scalar
-    input.  Subclasses implement only the array hooks _log_phi, _phi_inv and
-    _phi_inv_deriv; the two inverse hooks receive float arrays with v > 0.
+    input.  Subclasses implement only four array hooks: _log_phi, _phi_inv,
+    _phi_inv_deriv and _phi_prime.  The two inverse hooks receive float arrays
+    with v > 0.  _phi_prime(u, values) receives u and values = phi(u) (as
+    saturated by phi) and returns phi'(u) by cheap algebra on the two, so the
+    kappa solve gets N'(kappa) without another transcendental pass: 0 wherever
+    phi(u) = 0, NaN where u is NaN, and a one-sided derivative at a kink.
     Each hook returns a fresh float array of its input's shape (0-d included)
-    and never writes into its input, so phi can saturate the result in place.
+    and never writes into its inputs, so phi can saturate the result in place.
     """
 
     family_id: str = "base"
@@ -92,6 +97,9 @@ class DeformedExponential:
         raise NotImplementedError
 
     def _phi_inv_deriv(self, v):
+        raise NotImplementedError
+
+    def _phi_prime(self, u, values):
         raise NotImplementedError
 
     @classmethod
@@ -132,6 +140,9 @@ class ClassicalExp(DeformedExponential):
 
     def _phi_inv_deriv(self, v):
         return 1.0 / v
+
+    def _phi_prime(self, u, values):
+        return values.copy()
 
 
 class TsallisQ(DeformedExponential):
@@ -180,6 +191,14 @@ class TsallisQ(DeformedExponential):
         np.multiply(out, 1.0 / self.m - 1.0, out=out)
         return np.exp(out, out=out)
 
+    def _phi_prime(self, u, values):
+        # (1 + u/m)^(m-1) = phi / (1 + u/m); where phi vanishes (u <= -m) the
+        # divisor becomes 1, so phi' = 0 there
+        out = np.divide(u, self.m, out=np.empty_like(u))
+        np.add(out, 1.0, out=out)
+        out[values == 0.0] = 1.0
+        return np.divide(values, out, out=out)
+
 
 class KaniadakisKappa(DeformedExponential):
     """Kaniadakis exponential  exp_k(u) = (k u + sqrt(1 + k^2 u^2))^(1/k).
@@ -225,6 +244,21 @@ class KaniadakisKappa(DeformedExponential):
         np.cosh(out, out=out)
         return np.divide(out, v, out=out)
 
+    def _phi_prime(self, u, values):
+        # phi / sqrt(1 + k^2 u^2)
+        if self.kappa == 0.0:
+            return values.copy()
+        out = np.multiply(u, self.kappa, out=np.empty_like(u))
+        with np.errstate(over="ignore"):
+            np.square(out, out=out)
+        np.add(out, 1.0, out=out)
+        np.sqrt(out, out=out)
+        if not out.max() < math.inf:  # NaN u also lands here, harmlessly
+            # (k u)^2 overflowed, so |k u| > 1e154 and sqrt(1 + k^2 u^2) = |k u|
+            big = np.isinf(out)
+            out[big] = np.abs(u[big] * self.kappa)
+        return np.divide(values, out, out=out)
+
 
 class CounterexamplePhi(DeformedExponential):
     """Super-exponential family  phi(u) = e^((u+1)^2/2) for u >= 0, e^(u+1/2) for u <= 0.
@@ -267,11 +301,19 @@ class CounterexamplePhi(DeformedExponential):
         np.divide(1.0, v, out=out, where=~(logv >= self._LOG_SPLIT))
         return out
 
+    def _phi_prime(self, u, values):
+        # phi (u + 1) for u >= 0 and phi for u <= 0
+        out = np.add(u, 1.0, out=np.empty_like(u))
+        np.maximum(out, 1.0, out=out)
+        return np.multiply(out, values, out=out)
+
 
 class TabulatedMonotone(DeformedExponential):
     """Deformed exponential given by knots (u_i, phi_i), interpolated linearly
     in (u, log phi) space.  Queries outside the knot range raise DomainError;
-    inversion on a flat segment raises DomainError as well.
+    inversion on a flat segment raises DomainError as well.  phi' is phi times
+    the segment's (u, log phi) slope, 0 on a flat segment; at an interior knot
+    it is the left segment's, as for phi_inv_deriv.
     """
 
     family_id = "tabulated"
@@ -290,8 +332,9 @@ class TabulatedMonotone(DeformedExponential):
             raise FamilyParameterError("knot phi values must be non-decreasing")
         self.u_knots = us
         self.log_knots = np.log(ps)
-        self.u_knots.flags.writeable = False
-        self.log_knots.flags.writeable = False
+        self.log_slopes = np.diff(self.log_knots) / np.diff(us)  # d log phi / du per segment
+        for arr in (self.u_knots, self.log_knots, self.log_slopes):
+            arr.flags.writeable = False
 
     def params(self):
         return {"knots": [[u, math.exp(lp)] for u, lp in zip(self.u_knots, self.log_knots)]}
@@ -330,6 +373,13 @@ class TabulatedMonotone(DeformedExponential):
         # phi_inv is linear in log v on each segment: the slope du / dlog phi over v
         _, i = self._segment(v)
         return (self.u_knots[i] - self.u_knots[i - 1]) / (self.log_knots[i] - self.log_knots[i - 1]) / v
+
+    def _phi_prime(self, u, values):
+        # segment index from the interior knots; an interior knot closes the
+        # segment on its left, and NaN u picks the last one (NaN values stay NaN)
+        segment = np.searchsorted(self.u_knots[1:-1], u, side="left")
+        with np.errstate(over="ignore"):  # a phi' beyond the float range is +inf
+            return np.multiply(values, self.log_slopes[segment], out=np.empty_like(values))
 
     @classmethod
     def from_csv(cls, path):

@@ -6,16 +6,20 @@ kappa >= 0 is defined by
     N(kappa) = integral phi(alpha phi^-1(p) + (1-alpha) phi^-1(q) + kappa u0) dmu = 1.
 
 phi is convex and non-decreasing, so N is too, and N(0) <= 1.  The root is
-found by safeguarded Newton iteration inside a bracket [lo, hi] with
-N(lo) < 1 <= N(hi).  The slope N'(kappa) = integral u0 phi'(w) dmu comes from
-the same phi(w) values, as phi'(w) = 1 / (phi^-1)'(phi(w)).  By convexity a
-Newton step from below the root lands above it, and from above every step
-falls back monotonically towards it.  Geometric bracket expansion (while no
-point with N >= 1 is known) or bisection takes over whenever N' is not finite
-and positive, a step leaves the bracket or passes kappa_max, or a step is
-longer than half the step two before it.  When N jumps from below 1 straight
-to +inf the instance has no root and is reported as a divergent integral,
-never silently extrapolated; a NaN value of N is an error.
+found by safeguarded Newton iteration on log N inside a bracket [lo, hi] with
+N(lo) < 1 <= N(hi): the step is -log N * N / N'.  For the classical exp with
+a scalar u0, N(kappa) = e^kappa N(0), so log N is affine and the first step
+lands on the closed form -log N(0); with the other built-in families a solve
+takes about three evaluations of N.  The slope
+N'(kappa) = integral u0 phi'(w) dmu comes from the family's phi' hook, which
+works by cheap algebra on w and the phi(w) values that the evaluation of N
+already holds, so a Newton step calls no inverse map.  Geometric bracket
+expansion (while no point with N >= 1 is known) or bisection takes over
+whenever N or N' is not finite and positive, a step leaves the bracket or
+passes kappa_max, or a step is longer than half the step two before it.  When
+N jumps from below 1 straight to +inf the instance has no root and is reported
+as a divergent integral, never silently extrapolated; a NaN value of N is an
+error.
 
 A sweep over several alphas computes phi^-1(p) and phi^-1(q) once and starts
 each solve from the predictor kappa_i + (dkappa/dalpha) (alpha_{i+1} - alpha_i),
@@ -35,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .families import DeformedExponential, DomainError
+from .families import DeformedExponential
 from .jsonutil import jsonable_float
 from .measures import MeasureModel, ProbabilityPair, integrate
 
@@ -119,34 +123,14 @@ def normalization_functional(
     return integrate(pair.measure, _integrand(family, base, u0_arr, kappa, np.empty_like(base)))
 
 
-def _phi_prime(family: DeformedExponential, values):
-    """phi'(w) from values = phi(w) > 0 as 1 / (phi^-1)'(phi(w)), and 0 where
-    phi(w) = 0; a fresh array.  None when the family cannot differentiate its
-    inverse at some value (a flat or end segment of a tabulated family).
-    (phi^-1)' of a tiny phi(w) may overflow to inf, which gives phi'(w) = 0."""
-    with np.errstate(over="ignore", divide="ignore"):
-        try:
-            out = family.phi_inv_deriv(values)
-        except DomainError:
-            positive = values > 0
-            out = np.zeros_like(values)
-            try:
-                out[positive] = family.phi_inv_deriv(values[positive])
-            except DomainError:
-                return None
-            np.divide(1.0, out, out=out, where=positive)
-            return out
-        return np.divide(1.0, out, out=out)
-
-
 def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max_iter, guess):
     """Solve N(kappa) = 1 from kappa = guess, or from 0 (a cold start) when
     guess is not inside (0, kappa_max).
 
     A warm start leaves N(0) unevaluated: lo = 0 is then a bound by convexity
     alone, and it is evaluated, with the cold-start checks, before the first
-    fallback step.  Returns the result and phi(w) at the returned kappa when it
-    converged, else None.
+    fallback step.  Returns the result, then w and phi(w) at the returned kappa
+    when it converged, else None and None.
     """
     work = np.empty_like(base)
     evals = 0
@@ -168,7 +152,7 @@ def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max
             n_lo = n
             if abs(r) <= tol:
                 # includes p = q, where the integrand collapses to p and kappa = 0 exactly
-                return KappaSolveResult(alpha, 0.0, r, (0.0, 0.0), evals, SolveStatus.CONVERGED), values
+                return KappaSolveResult(alpha, 0.0, r, (0.0, 0.0), evals, SolveStatus.CONVERGED), work, values
             if n > 1.0:
                 raise ValueError(f"N(0) = {n} > 1; phi is not convex on the data or the pair is invalid")
         elif n < 1.0:
@@ -177,20 +161,20 @@ def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max
             hi, n_hi = kappa, n
         if abs(r) <= tol:
             bracket = (lo, hi if n_hi is not None else kappa)
-            return KappaSolveResult(alpha, kappa, r, bracket, evals, SolveStatus.CONVERGED), values
+            return KappaSolveResult(alpha, kappa, r, bracket, evals, SolveStatus.CONVERGED), work, values
         if abs(r) < abs(best_r):
             best_k, best_r = kappa, r
         if evals >= max_iter:
             break
 
         step = math.nan
-        if math.isfinite(n):
-            # phi'(w), then N'(kappa); the rebinding frees the array
-            slope = _phi_prime(family, values)
-            if slope is not None:
-                slope = integrate(measure, np.multiply(slope, u0_arr, out=slope))
-                if 0.0 < slope < math.inf:
-                    step = -r / slope
+        if 0.0 < n < math.inf:
+            # Newton on log N: phi'(w) from w and phi(w), then N'(kappa); the
+            # rebinding frees the array
+            slope = family._phi_prime(work, values)
+            slope = integrate(measure, np.multiply(slope, u0_arr, out=slope))
+            if 0.0 < slope < math.inf:
+                step = -math.log(n) * (n / slope)
         nxt = kappa + step
         if n_hi is None:
             # no point with N >= 1 yet: the Newton step from below, or expansion
@@ -199,7 +183,7 @@ def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max
                     return KappaSolveResult(
                         alpha, math.inf, n_lo - 1.0, (kappa_max, math.inf), evals,
                         SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
-                    ), None
+                    ), None, None
                 nxt = min(max(2.0 * lo, initial_hi), kappa_max)
         elif not (lo < nxt < hi and abs(step) <= 0.5 * step_2):
             if n_lo is None:
@@ -216,19 +200,18 @@ def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max
         return KappaSolveResult(
             alpha, math.inf, n_lo - 1.0, (lo, hi), evals,
             SolveStatus.DIVERGENT_INTEGRAL, last_finite=(lo, n_lo),
-        ), None
+        ), None, None
     return KappaSolveResult(
         alpha, best_k, best_r, (lo, hi), evals,
         SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
-    ), None
+    ), None, None
 
 
-def _kappa_rate(family, measure, values, u0_arr, diff, scratch) -> float:
+def _kappa_rate(family, measure, w, values, u0_arr, diff, scratch) -> float:
     """dkappa/dalpha = -integral phi'(w) diff dmu / integral phi'(w) u0 dmu
-    from values = phi(w) at a solved point; NaN when phi' is unavailable."""
-    slope = _phi_prime(family, values)
-    if slope is None:
-        return math.nan
+    from w and values = phi(w) at a solved point; NaN when the denominator is
+    not finite and positive."""
+    slope = family._phi_prime(w, values)
     n_alpha = integrate(measure, np.multiply(slope, diff, out=scratch))
     n_kappa = integrate(measure, np.multiply(slope, u0_arr, out=slope))
     return -n_alpha / n_kappa if 0.0 < n_kappa < math.inf else math.nan
@@ -252,9 +235,9 @@ def solve_kappa(
     initial_hi: float = 1.0,
     max_iter: int = 400,
 ) -> KappaSolveResult:
-    """Solve N(kappa) = 1 for kappa >= 0 by safeguarded Newton iteration from
-    kappa = 0, with geometric bracket expansion from [0, initial_hi] and
-    bisection as the fallbacks (see the module docstring).
+    """Solve N(kappa) = 1 for kappa >= 0 by safeguarded Newton iteration on
+    log N from kappa = 0, with geometric bracket expansion from
+    [0, initial_hi] and bisection as the fallbacks (see the module docstring).
 
     Returns CONVERGED with |N(kappa) - 1| <= tol, DIVERGENT_INTEGRAL when N
     jumps from below 1 to +inf (no root exists), or BRACKET_FAILURE when
@@ -284,13 +267,13 @@ def _sweep_kappa(family, pair, alphas, u0, tol, kappa_max=1e6):
     guess = 0.0
     for i, alpha in enumerate(alphas):
         _interpolate(inv_p, inv_q, alpha, out=base, rest=scratch)
-        result, values = _solve(family, pair.measure, alpha, base, u0_arr, tol, kappa_max, 1.0, 400, guess)
+        result, w, values = _solve(family, pair.measure, alpha, base, u0_arr, tol, kappa_max, 1.0, 400, guess)
         results.append(result)
         guess = 0.0
         if values is not None and i + 1 < len(alphas):
             if diff is None:
                 diff = np.subtract(inv_p, inv_q)
-            rate = _kappa_rate(family, pair.measure, values, u0_arr, diff, scratch)
+            rate = _kappa_rate(family, pair.measure, w, values, u0_arr, diff, scratch)
             guess = result.kappa + rate * (alphas[i + 1] - alpha)
     return results
 

@@ -1,6 +1,6 @@
 """The kernel contract behind N(kappa): phi saturates its own fresh output,
-the family hooks never touch their input, integrate's +inf rule, and the
-shared read-only counting weights."""
+the family hooks never touch their input, phi' comes from u and phi(u) alone,
+integrate's +inf rule, and the shared read-only counting weights."""
 
 import dataclasses
 import math
@@ -12,6 +12,7 @@ from deformed_renyi.families import (
     BUILTIN_FAMILIES,
     LOG_PHI_MAX,
     ClassicalExp,
+    DomainError,
     TabulatedMonotone,
     parse_family_spec,
 )
@@ -127,6 +128,113 @@ class TestSaturation:
     def test_vanishing_region(self):
         fam = parse_family_spec("tsallis:0.5")
         np.testing.assert_array_equal(fam.phi(np.array([-np.inf, -1e5, -2.5, -2.0])), [0.0] * 4)
+
+
+def phi_prime(family, u):
+    """The _phi_prime hook at u, fed the saturated phi(u) as the solver does."""
+    u = np.asarray(u, dtype=float)
+    return family._phi_prime(u, np.asarray(family.phi(u)))
+
+
+def _prime_grid(family):
+    """A grid over the family's domain: the knots and segment midpoints of a
+    table; else points either side of u = 0 (the counterexample's branch
+    junction) and, where phi vanishes, the edge u = a_phi exactly, its float
+    neighbours and points below it."""
+    if family is TABULATED_EXP:
+        return np.concatenate([EXP_KNOTS, EXP_KNOTS[:-1] + 0.25])
+    u = np.concatenate([np.linspace(-60.0, 60.0, 121), [0.5, 1e-9, -1e-9]])
+    if math.isfinite(family.a_phi):
+        edge = family.a_phi
+        u = np.concatenate([u, [edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf),
+                                edge + 1e-3, edge - 1.0, -np.inf]])
+    return u
+
+
+class TestPhiPrime:
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_matches_inverse_derivative_and_central_difference(self, family):
+        u = _prime_grid(family)
+        values = np.asarray(family.phi(u))
+        inside = (values > 0) & np.isfinite(values)
+        u = u[inside]
+        got = phi_prime(family, u)
+        np.testing.assert_allclose(got, 1.0 / np.asarray(family.phi_inv_deriv(values[inside])), rtol=1e-12)
+        # central difference on points whose whole stencil stays where phi > 0,
+        # inside the table, and off the table's knots (a kink in general)
+        h = 1e-6
+        lo, hi = u - h, u + h
+        keep = lo > family.a_phi
+        if family is TABULATED_EXP:
+            keep &= ~np.isin(u, EXP_KNOTS)
+        lo, hi = lo[keep], hi[keep]
+        central = (np.asarray(family.phi(hi)) - np.asarray(family.phi(lo))) / (hi - lo)
+        np.testing.assert_allclose(got[keep], central, rtol=1e-6)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_zero_where_phi_vanishes_nan_for_nan(self, family):
+        u = _prime_grid(family)
+        values = np.asarray(family.phi(u))
+        got = phi_prime(family, u)
+        assert not np.any(np.isnan(got))
+        np.testing.assert_array_equal(got[values == 0.0], 0.0)
+        assert np.all(got[values > 0] > 0)
+        assert np.isnan(phi_prime(family, np.array([np.nan]))[0])
+        assert np.isnan(phi_prime(family, np.nan))
+
+    @pytest.mark.parametrize("spec, m", [("tsallis:0.5", 2.0), ("tsallis:2", 1.0), ("tsallis:0", 1.0)])
+    def test_tsallis_vanishing_edge(self, spec, m):
+        family = parse_family_spec(spec)
+        u = np.array([-np.inf, -m - 1.0, -m, np.nextafter(-m, 0.0), -m + 0.5])
+        values = np.asarray(family.phi(u))
+        np.testing.assert_array_equal(values[:3], 0.0)
+        got = family._phi_prime(u, values)
+        np.testing.assert_array_equal(got[:3], 0.0)
+        np.testing.assert_allclose(got[3:], (1.0 + u[3:] / m) ** (m - 1.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [1.0, -1.0, 0.6])
+    def test_kaniadakis_where_k_u_squared_overflows(self, k):
+        """phi(u) ~ (2|k|u)^(1/|k|) is still finite at u = 1e160 for |k| >= 0.6,
+        while (k u)^2 overflows; phi' must not read 0 there."""
+        family = parse_family_spec(f"kaniadakis:{k}")
+        u = np.array([1e160, 1e170, 1.0, -1e170])
+        values = np.asarray(family.phi(u))
+        assert np.all(np.isfinite(values)) and np.all(values[:3] > 0)
+        got = family._phi_prime(u, values)
+        np.testing.assert_allclose(got[:3], 1.0 / np.asarray(family.phi_inv_deriv(values[:3])), rtol=1e-12)
+        assert got[3] == 0.0
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_fresh_array_inputs_untouched(self, family):
+        u = _prime_grid(family)
+        values = np.asarray(family.phi(u))
+        u_before, values_before = u.copy(), values.copy()
+        got = family._phi_prime(u, values)
+        assert isinstance(got, np.ndarray) and got.shape == u.shape and got.dtype == float
+        assert not np.shares_memory(got, u) and not np.shares_memory(got, values)
+        np.testing.assert_array_equal(u, u_before)
+        np.testing.assert_array_equal(values, values_before)
+        for i in range(0, u.size, 20):
+            scalar = family._phi_prime(np.array(u[i]), np.array(values[i]))
+            assert isinstance(scalar, np.ndarray) and scalar.shape == ()
+            assert np.array_equal(scalar, got[i], equal_nan=True)
+
+    def test_tabulated_is_phi_times_segment_slope(self):
+        # a rising, a flat, a rising and a flat segment
+        family = TabulatedMonotone([(0.0, 1.0), (1.0, 2.0), (2.0, 2.0), (3.0, 8.0), (4.0, 8.0)])
+        u = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
+        slope = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 0.0, 0.0]) * math.log(2.0)
+        values = np.asarray(family.phi(u))
+        np.testing.assert_allclose(family._phi_prime(u, values), values * slope, rtol=1e-15)
+        with pytest.raises(DomainError):
+            family.phi_inv_deriv(2.0)  # the inverse side cannot differentiate a flat value
+
+    def test_tabulated_exp_knots_and_midpoints(self):
+        u = _prime_grid(TABULATED_EXP)
+        values = np.asarray(TABULATED_EXP.phi(u))
+        segment = np.clip(np.searchsorted(EXP_KNOTS, u, side="left"), 1, EXP_KNOTS.size - 1) - 1
+        np.testing.assert_array_equal(TABULATED_EXP._phi_prime(u, values),
+                                      values * TABULATED_EXP.log_slopes[segment])
 
 
 class TestIntegrateInfRule:

@@ -8,7 +8,7 @@ import pytest
 
 from deformed_renyi.divergences import generalized_renyi, sweep
 from deformed_renyi.families import BUILTIN_FAMILIES, ClassicalExp, TabulatedMonotone, parse_family_spec
-from deformed_renyi.kappa import SolveStatus, _sweep_kappa, normalization_functional, solve_kappa
+from deformed_renyi.kappa import SolveStatus, _sweep_kappa, classical_kappa, normalization_functional, solve_kappa
 from deformed_renyi.measures import Counting, ProbabilityPair, QuadGrid
 from reference_solver import bisection_kappa, slope
 
@@ -65,6 +65,33 @@ def test_sweep_matches_single_solves(family, measure_kind, n):
             check_against(family, pair, alpha, u0, report.solver, single)
             assert report.value == report.kappa / (alpha * (1.0 - alpha))
             assert report.value == pytest.approx(generalized_renyi(family, pair, alpha, u0=u0).value, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [8, 1000, 100000])
+@pytest.mark.parametrize("measure_kind", ["counting", "trapezoid"])
+def test_log_step_is_exact_for_the_classical_case(measure_kind, n):
+    """For exp with a scalar u0, log N is affine in kappa, so the first Newton
+    step on log N lands on -log N(0), the closed form."""
+    pair, _ = problem(measure_kind, n)
+    for alpha in ALPHAS:
+        result = solve_kappa(ClassicalExp(), pair, alpha, u0=1.0, tol=TOL)
+        assert result.status is SolveStatus.CONVERGED
+        assert result.iterations <= 3, alpha
+        assert abs(result.kappa - classical_kappa(pair, alpha)) <= 1e-12, alpha
+
+
+def test_unresolvable_tolerance_fails_as_bisection_does_in_fewer_evaluations():
+    """tol finer than N resolves between the two floats around the root: both
+    solvers give the same BRACKET_FAILURE, Newton with no more N-evaluations."""
+    family = parse_family_spec("kaniadakis:0.5")
+    pair = ProbabilityPair(Counting(2), [1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12])
+    result = solve_kappa(family, pair, 0.02, tol=TOL)
+    reference = bisection_kappa(family, pair, 0.02, tol=TOL)
+    assert result.status is reference.status is SolveStatus.BRACKET_FAILURE
+    assert result.kappa == reference.kappa
+    assert result.residual == reference.residual
+    assert result.bracket == reference.bracket
+    assert result.iterations <= reference.iterations
 
 
 class TestSweep:
