@@ -20,8 +20,8 @@ from .jsonutil import jsonable_float
 from .kappa import (
     KappaSolveResult,
     SolveStatus,
+    _resolve_u0,
     _sweep_kappa,
-    as_u0_array,
     classical_kappa,
     solve_kappa,
 )
@@ -120,13 +120,13 @@ def phi_divergence(family: DeformedExponential, pair: ProbabilityPair, u0=1.0) -
     For the classical exponential with u0 = 1 this reduces exactly to
     Kullback-Leibler, since (phi^-1)'(p) = 1/p.
     """
-    u0_arr = as_u0_array(u0, pair.measure)
+    u0 = _resolve_u0(u0, pair.measure)
     inv_p = np.asarray(family.phi_inv(pair.p))
     inv_q = np.asarray(family.phi_inv(pair.q))
     slope = np.asarray(family.phi_inv_deriv(pair.p))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         numerator = integrate(pair.measure, (inv_p - inv_q) / slope)
-        denominator = integrate(pair.measure, u0_arr / slope)
+        denominator = integrate(pair.measure, u0 / slope)
     if not math.isfinite(numerator):
         raise DivergentNumerator(f"numerator integral = {numerator}")
     if not math.isfinite(denominator) or denominator <= 0:

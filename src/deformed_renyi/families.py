@@ -72,13 +72,21 @@ class DeformedExponential:
         return _scalar_like(u, self._log_phi(u))
 
     def phi(self, u):
-        """phi(u) >= 0, with values above PHI_MAX reported as +inf."""
+        """phi(u) >= 0, with values above PHI_MAX reported as +inf.
+
+        The saturation mask is built only when the largest log phi exceeds
+        LOG_PHI_MAX or is NaN (NaN fails the comparison, so a NaN anywhere
+        also takes the mask path); otherwise phi is one in-place exp.
+        """
         u = np.asarray(u, dtype=float)
         out = self._log_phi(u)
-        saturated = out > LOG_PHI_MAX
-        with np.errstate(over="ignore"):
+        if out.size and not out.max() <= LOG_PHI_MAX:
+            saturated = out > LOG_PHI_MAX
+            with np.errstate(over="ignore"):
+                np.exp(out, out=out)
+            out[saturated] = np.inf
+        else:
             np.exp(out, out=out)
-        out[saturated] = np.inf
         return _scalar_like(u, out)
 
     def phi_inv(self, v):
@@ -171,13 +179,16 @@ class TsallisQ(DeformedExponential):
         return {"q": self.q}
 
     def _log_phi(self, u):
-        out = np.maximum(u, -self.m, out=np.empty_like(u))
-        np.divide(out, self.m, out=out)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(u, self.m, out=np.empty_like(u))
+        if out.size and not out.min() > -1.0:
+            # some u/m <= -1 (or NaN): log1p gives -inf or NaN there, and
+            # phi = 0 for u <= -m; NaN stays NaN
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.log1p(out, out=out)
+            out[u <= -self.m] = -np.inf
+        else:
             np.log1p(out, out=out)
-        np.multiply(out, self.m, out=out)
-        out[u <= -self.m] = -np.inf  # NaN stays NaN
-        return out
+        return np.multiply(out, self.m, out=out)
 
     def _phi_inv(self, v):
         # inverse of (1 + u/m)^m, equal to the q-logarithm of the effective q
@@ -196,7 +207,8 @@ class TsallisQ(DeformedExponential):
         # divisor becomes 1, so phi' = 0 there
         out = np.divide(u, self.m, out=np.empty_like(u))
         np.add(out, 1.0, out=out)
-        out[values == 0.0] = 1.0
+        if values.size and not values.min() > 0.0:  # some phi = 0, or NaN
+            out[values == 0.0] = 1.0
         return np.divide(values, out, out=out)
 
 

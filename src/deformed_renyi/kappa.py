@@ -19,7 +19,12 @@ whenever N or N' is not finite and positive, a step leaves the bracket or
 passes kappa_max, or a step is longer than half the step two before it.  When
 N jumps from below 1 straight to +inf the instance has no root and is reported
 as a divergent integral, never silently extrapolated; a NaN value of N is an
-error.
+error.  tol must be positive and finite.
+
+A scalar u0 stays a scalar: it is validated once as a positive finite float,
+w = base + kappa u0 is one add into the solve's work buffer, and
+N'(kappa) = u0 integral phi'(w) dmu, so no n-length copy of u0 is built.  A
+per-atom u0 array is validated and multiplied in as it is.
 
 A sweep over several alphas computes phi^-1(p) and phi^-1(q) once and starts
 each solve from the predictor kappa_i + (dkappa/dalpha) (alpha_{i+1} - alpha_i),
@@ -72,16 +77,26 @@ class KappaSolveResult:
         }
 
 
-def as_u0_array(u0, measure: MeasureModel) -> np.ndarray:
-    """Broadcast a positive scalar or validate a per-atom positive array."""
+def _resolve_u0(u0, measure: MeasureModel):
+    """u0 as a positive finite float when it is a scalar (0-d arrays and NumPy
+    scalars included), else as a validated per-atom positive array."""
     arr = np.asarray(u0, dtype=float)
     if arr.ndim == 0:
-        arr = np.full(measure.size, float(arr))
+        u0 = float(arr)
+        if not 0.0 < u0 < math.inf:
+            raise ValueError("u0 must be strictly positive and finite")
+        return u0
     if arr.shape != (measure.size,):
         raise ValueError(f"u0 has shape {arr.shape}, expected ({measure.size},)")
     if np.any(~(arr > 0)) or np.any(~np.isfinite(arr)):
         raise ValueError("u0 must be strictly positive and finite")
     return arr
+
+
+def as_u0_array(u0, measure: MeasureModel) -> np.ndarray:
+    """Broadcast a positive scalar or validate a per-atom positive array."""
+    u0 = _resolve_u0(u0, measure)
+    return np.full(measure.size, u0) if isinstance(u0, float) else u0
 
 
 def _interpolate(inv_p, inv_q, alpha: float, out, rest):
@@ -100,12 +115,22 @@ def interpolation_base(family: DeformedExponential, pair: ProbabilityPair, alpha
     return _interpolate(inv_p, inv_q, alpha, out=inv_p, rest=inv_q)
 
 
-def _integrand(family: DeformedExponential, base, u0_arr, kappa: float, work) -> np.ndarray:
+def _integrand(family: DeformedExponential, base, u0, kappa: float, work) -> np.ndarray:
     """phi(base + kappa u0), a fresh array; base + kappa u0 is formed in the
-    caller's work buffer, which is overwritten."""
-    np.multiply(u0_arr, kappa, out=work)
-    np.add(base, work, out=work)
+    caller's work buffer, which is overwritten.  u0 is a float or an array."""
+    if isinstance(u0, float):
+        np.add(base, u0 * kappa, out=work)
+    else:
+        np.multiply(u0, kappa, out=work)
+        np.add(base, work, out=work)
     return family.phi(work)
+
+
+def _u0_integral(measure: MeasureModel, f, u0) -> float:
+    """integral f u0 dmu; f is overwritten.  u0 is a float or an array."""
+    if isinstance(u0, float):
+        return u0 * integrate(measure, f)
+    return integrate(measure, np.multiply(f, u0, out=f))
 
 
 def normalization_functional(
@@ -118,12 +143,12 @@ def normalization_functional(
     """N(kappa); returns +inf when phi saturates on a set of positive measure."""
     if not math.isfinite(kappa):
         raise ValueError("kappa must be finite")
-    u0_arr = as_u0_array(u0, pair.measure)
+    u0 = _resolve_u0(u0, pair.measure)
     base = interpolation_base(family, pair, alpha)
-    return integrate(pair.measure, _integrand(family, base, u0_arr, kappa, np.empty_like(base)))
+    return integrate(pair.measure, _integrand(family, base, u0, kappa, np.empty_like(base)))
 
 
-def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max_iter, guess):
+def _solve(family, measure, alpha, base, u0, tol, kappa_max, initial_hi, max_iter, guess):
     """Solve N(kappa) = 1 from kappa = guess, or from 0 (a cold start) when
     guess is not inside (0, kappa_max).
 
@@ -143,7 +168,7 @@ def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max
     while True:
         evals += 1
         values = None  # frees the previous point's phi(w) before phi allocates
-        values = _integrand(family, base, u0_arr, kappa, work)
+        values = _integrand(family, base, u0, kappa, work)
         n = integrate(measure, values)
         if math.isnan(n):
             raise ArithmeticError(f"N(kappa) is NaN at kappa = {kappa!r} (alpha = {alpha!r})")
@@ -169,10 +194,8 @@ def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max
 
         step = math.nan
         if 0.0 < n < math.inf:
-            # Newton on log N: phi'(w) from w and phi(w), then N'(kappa); the
-            # rebinding frees the array
-            slope = family._phi_prime(work, values)
-            slope = integrate(measure, np.multiply(slope, u0_arr, out=slope))
+            # Newton on log N: phi'(w) from w and phi(w), then N'(kappa)
+            slope = _u0_integral(measure, family._phi_prime(work, values), u0)
             if 0.0 < slope < math.inf:
                 step = -math.log(n) * (n / slope)
         nxt = kappa + step
@@ -207,13 +230,13 @@ def _solve(family, measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max
     ), None, None
 
 
-def _kappa_rate(family, measure, w, values, u0_arr, diff, scratch) -> float:
+def _kappa_rate(family, measure, w, values, u0, diff, scratch) -> float:
     """dkappa/dalpha = -integral phi'(w) diff dmu / integral phi'(w) u0 dmu
     from w and values = phi(w) at a solved point; NaN when the denominator is
     not finite and positive."""
     slope = family._phi_prime(w, values)
     n_alpha = integrate(measure, np.multiply(slope, diff, out=scratch))
-    n_kappa = integrate(measure, np.multiply(slope, u0_arr, out=slope))
+    n_kappa = _u0_integral(measure, slope, u0)
     return -n_alpha / n_kappa if 0.0 < n_kappa < math.inf else math.nan
 
 
@@ -221,8 +244,8 @@ def _check_solve_inputs(alphas, tol) -> None:
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}; endpoints are defined only as limits")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
 
 def solve_kappa(
@@ -243,12 +266,13 @@ def solve_kappa(
     jumps from below 1 to +inf (no root exists), or BRACKET_FAILURE when
     N(kappa) stays below 1 up to kappa_max or the iteration stalls above tol.
     `iterations` counts N evaluations, at most max_iter.  Raises
-    ArithmeticError when N evaluates to NaN.
+    ArithmeticError when N evaluates to NaN, and ValueError unless
+    0 < tol < inf.
     """
     _check_solve_inputs([alpha], tol)
-    u0_arr = as_u0_array(u0, pair.measure)
+    u0 = _resolve_u0(u0, pair.measure)
     base = interpolation_base(family, pair, alpha)
-    return _solve(family, pair.measure, alpha, base, u0_arr, tol, kappa_max, initial_hi, max_iter, 0.0)[0]
+    return _solve(family, pair.measure, alpha, base, u0, tol, kappa_max, initial_hi, max_iter, 0.0)[0]
 
 
 def _sweep_kappa(family, pair, alphas, u0, tol, kappa_max=1e6):
@@ -258,7 +282,7 @@ def _sweep_kappa(family, pair, alphas, u0, tol, kappa_max=1e6):
     kappa = 0."""
     alphas = [float(a) for a in alphas]
     _check_solve_inputs(alphas, tol)
-    u0_arr = as_u0_array(u0, pair.measure)
+    u0 = _resolve_u0(u0, pair.measure)
     inv_p = family.phi_inv(pair.p)
     inv_q = family.phi_inv(pair.q)
     base, scratch = np.empty_like(inv_p), np.empty_like(inv_p)
@@ -267,13 +291,13 @@ def _sweep_kappa(family, pair, alphas, u0, tol, kappa_max=1e6):
     guess = 0.0
     for i, alpha in enumerate(alphas):
         _interpolate(inv_p, inv_q, alpha, out=base, rest=scratch)
-        result, w, values = _solve(family, pair.measure, alpha, base, u0_arr, tol, kappa_max, 1.0, 400, guess)
+        result, w, values = _solve(family, pair.measure, alpha, base, u0, tol, kappa_max, 1.0, 400, guess)
         results.append(result)
         guess = 0.0
         if values is not None and i + 1 < len(alphas):
             if diff is None:
                 diff = np.subtract(inv_p, inv_q)
-            rate = _kappa_rate(family, pair.measure, w, values, u0_arr, diff, scratch)
+            rate = _kappa_rate(family, pair.measure, w, values, u0, diff, scratch)
             guess = result.kappa + rate * (alphas[i + 1] - alpha)
     return results
 

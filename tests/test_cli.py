@@ -336,6 +336,22 @@ class TestExitCodes:
         assert code == 2
         assert f"{bad}: row 3: could not convert string to float: 'abc'" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["kappa", "--alpha", "0.5"],
+        ["divergence", "--alpha", "0.5"],
+        ["sweep", "--alphas", "0.25,0.5,0.75"],
+    ], ids=["kappa", "divergence", "sweep"])
+    def test_tol_must_be_positive_and_finite(self, capsys, tmp_path, command, tol):
+        pair = tmp_path / "pair.csv"
+        save_pair(ProbabilityPair(Counting(3), [0.2, 0.3, 0.5], [0.6, 0.3, 0.1]), pair)
+        code, out, err = run_cli(capsys, command + [
+            "--family", "kaniadakis:0.5", "--pair", str(pair), f"--tol={tol}",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == "error: tol must be positive and finite\n"
+
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(capsys, [
             "divergence", "--family", "exp", "--pair", "/nonexistent.csv", "--alpha", "0.5",

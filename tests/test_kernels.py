@@ -129,6 +129,37 @@ class TestSaturation:
         fam = parse_family_spec("tsallis:0.5")
         np.testing.assert_array_equal(fam.phi(np.array([-np.inf, -1e5, -2.5, -2.0])), [0.0] * 4)
 
+    @pytest.mark.parametrize("family", UNBOUNDED, ids=FAMILY_IDS[:-1])
+    def test_nan_does_not_hide_saturation(self, family):
+        """phi masks only when its max reduction asks for it; a NaN anywhere
+        must still take the mask path, since NaN fails every comparison."""
+        edge = _last_unsaturated(family)
+        above = np.nextafter(edge, math.inf)
+        top = float(np.exp(family.log_phi(edge)))
+        for nan_at in (0, 2, 4):
+            u = np.array([above, 0.5, edge, -1.0, above])
+            expected = np.array([math.inf, family.phi(0.5), top, family.phi(-1.0), math.inf])
+            u[nan_at], expected[nan_at] = math.nan, math.nan
+            np.testing.assert_array_equal(family.phi(u), expected)
+
+    def test_nan_next_to_exp_values_between_the_cap_and_overflow(self):
+        u = np.array([math.nan, 700.0, 1.0, 709.0])  # e^700 and e^709 are finite floats
+        np.testing.assert_array_equal(ClassicalExp().phi(u), [math.nan, math.inf, math.e, math.inf])
+
+    @pytest.mark.parametrize("spec, m", [("tsallis:0.5", 2.0), ("tsallis:2", 1.0)])
+    def test_tsallis_nan_next_to_the_vanishing_region(self, spec, m):
+        """_log_phi masks u <= -m, and _phi_prime masks phi = 0, only when a
+        min reduction asks for it; a NaN must still take the mask path."""
+        family = parse_family_spec(spec)
+        u = np.array([math.nan, -m - 1.0, -m, 0.0, m, math.nan])
+        log_phi = np.asarray(family.log_phi(u))
+        np.testing.assert_allclose(log_phi, [math.nan, -np.inf, -np.inf, 0.0, m * math.log(2.0), math.nan], rtol=1e-15)
+        values = np.asarray(family.phi(u))
+        np.testing.assert_allclose(values, [math.nan, 0.0, 0.0, 1.0, 2.0 ** m, math.nan], rtol=1e-15)
+        got = family._phi_prime(u, values)
+        np.testing.assert_allclose(got, [math.nan, 0.0, 0.0, 1.0, 2.0 ** (m - 1.0), math.nan], rtol=1e-15)
+        assert got[1] == 0.0 and got[2] == 0.0
+
 
 def phi_prime(family, u):
     """The _phi_prime hook at u, fed the saturated phi(u) as the solver does."""
