@@ -166,9 +166,9 @@ class LimitEstimate:
         }
 
 
-def default_alpha_sequence(endpoint: int, k_min: int = 4, k_max: int = 14) -> np.ndarray:
-    ks = np.arange(k_min, k_max + 1)
-    dist = np.exp2(-ks.astype(float))
+def default_alpha_sequence(endpoint: int) -> np.ndarray:
+    """Alphas at distance 2^-4, ..., 2^-14 from the endpoint."""
+    dist = np.exp2(-np.arange(4.0, 15.0))
     return 1.0 - dist if endpoint == 1 else dist
 
 
@@ -226,15 +226,16 @@ def kappa_derivative_at_endpoint(
     pair: ProbabilityPair,
     endpoint: int,
     u0=1.0,
-    h: float = 1e-5,
     tol: float = 1e-12,
 ) -> float:
     """One-sided finite-difference estimate of d kappa / d alpha at 0 or 1.
 
     kappa vanishes at both endpoints, so the derivative reduces to
-    +-kappa(h')/h' one step inside the interval.  Cross-checks the identity
-    that the endpoint limits of the divergence equal the phi-divergence.
+    +-kappa(h)/h one step h = 1e-5 inside the interval.  Cross-checks the
+    identity that the endpoint limits of the divergence equal the
+    phi-divergence.
     """
+    h = 1e-5
     if endpoint == 0:
         return solve_kappa(family, pair, h, u0=u0, tol=tol).kappa / h
     if endpoint == 1:

@@ -172,8 +172,10 @@ def ratio_limsup_probe(
     relatively across that decade; Inconclusive otherwise.  Ratios are formed
     in log space so saturation cannot masquerade as evidence.
     """
-    if lambda0 <= 0:
-        raise ValueError("lambda0 must be positive")
+    if not 0.0 < lambda0 < math.inf:
+        raise ValueError("lambda0 must be positive and finite")
+    if not 0.0 < threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     if not math.isfinite(u_max) or u_max <= 0:
         raise ValueError("u_max must be finite and positive")
 
@@ -259,8 +261,8 @@ def pointwise_inequality_probe(
     analog of the boundary constant in the inequality criterion."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if u0_value <= 0:
-        raise ValueError("u0_value must be positive")
+    if not 0.0 < u0_value < math.inf:
+        raise ValueError("u0_value must be positive and finite")
     u = np.asarray(u_grid, dtype=float)
     if u.size == 0:
         raise ValueError("u_grid is empty: nothing to check")
@@ -290,19 +292,14 @@ class KaniadakisCertificate:
     check: bool             # alpha^n exp_k(u) <= exp_k(u - 1) on the sample grid
 
 
-def verify_kaniadakis_u0(
-    kappa_param: float,
-    alpha: float,
-    u_lo: float = -50.0,
-    u_hi: float = 50.0,
-    n_u: int = 10_000,
-) -> KaniadakisCertificate:
+def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertificate:
     """Verify that the Kaniadakis family admits a constant shift direction.
 
     Minimizes g(v) = log_k(v) - log_k(alpha v) over v > 0; g is unimodal
     (derivative negative then positive), so the minimizer is located by
     bisecting the sign change of g'.  Sets lam to the minimum value,
-    n = ceil(1/lam), and checks alpha^n exp_k(u) <= exp_k(u - 1) on the grid.
+    n = ceil(1/lam), and checks alpha^n exp_k(u) <= exp_k(u - 1) on 10 000
+    points of [-50, 50].
     """
     if kappa_param == 0.0 or not -1.0 <= kappa_param <= 1.0:
         raise ValueError("kappa_param must be in [-1, 1] and nonzero")
@@ -324,7 +321,7 @@ def verify_kaniadakis_u0(
 
     lam = float(family.phi_inv(v0) - family.phi_inv(alpha * v0))
     n = math.ceil(1.0 / lam)
-    u = np.linspace(u_lo, u_hi, n_u)
+    u = np.linspace(-50.0, 50.0, 10_000)
     check = not np.any(_log_exceeds(n * math.log(alpha) + np.asarray(family.log_phi(u)),
                                     np.asarray(family.log_phi(u - 1.0))))
     return KaniadakisCertificate(kappa=kappa_param, alpha=alpha, v0=float(v0), lam=lam, n=n, check=bool(check))
@@ -366,8 +363,8 @@ def growth_envelope_check(
     """Check phi(u + v) <= K phi(u) e^(lam v) with lam = log(K)/lambda0 for
     sampled u >= c, v >= 0.  Follows from the ratio bound phi(u)/phi(u-lambda0)
     <= K at u >= c by chaining whole lambda0 steps."""
-    if K < 1.0 or lambda0 <= 0:
-        raise ValueError("need K >= 1 and lambda0 > 0")
+    if not (1.0 <= K < math.inf and 0.0 < lambda0 < math.inf):
+        raise ValueError("need 1 <= K < inf and 0 < lambda0 < inf")
     lam = math.log(K) / lambda0
     u = np.asarray(u_grid, dtype=float)
     u = u[u >= c]
@@ -433,9 +430,10 @@ class U0Construction:
         }
 
 
-def default_lambda_sequence(alpha: float, n: int = 64) -> np.ndarray:
+def default_lambda_sequence(alpha: float) -> np.ndarray:
+    """lambda_1 2^-k for k = 0, ..., 63, with lambda_1 = min(1, -log(alpha) / 2)."""
     lam1 = min(1.0, -math.log(alpha) / 2.0)
-    return lam1 * np.exp2(-np.arange(n, dtype=float))
+    return lam1 * np.exp2(-np.arange(64, dtype=float))
 
 
 def _eta_ok(family: DeformedExponential, log_alpha: float, eta: float, lam1: float) -> bool:
@@ -490,8 +488,10 @@ def construct_u0_sequence(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if summability_target <= 0:
-        raise ValueError("summability_target must be positive")
+    if not 0.0 < summability_target < math.inf:
+        raise ValueError("summability_target must be positive and finite")
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
     lambdas = default_lambda_sequence(alpha) if lambda_sequence is None else np.asarray(lambda_sequence, dtype=float)
     if np.any(lambdas <= 0) or np.any(np.diff(lambdas) >= 0):
         raise ValueError("lambda_sequence must be positive and strictly decreasing")
@@ -640,8 +640,8 @@ def adversarial_nonexistence_demo(lam: float, n_pieces: int = 60, build_pair: bo
     Divergence then holds for every shift >= lam as well, since the shifted
     terms increase in the shift.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     if n_pieces < 10:
         raise ValueError("n_pieces must be >= 10")
     family = CounterexamplePhi()

@@ -16,7 +16,7 @@ works by cheap algebra on w and the phi(w) values that the evaluation of N
 already holds, so a Newton step calls no inverse map.  Geometric bracket
 expansion (while no point with N >= 1 is known) or bisection takes over
 whenever N or N' is not finite and positive, a step leaves the bracket or
-passes kappa_max, or a step is longer than half the step two before it.  When
+passes KAPPA_MAX, or a step is longer than half the step two before it.  When
 N jumps from below 1 straight to +inf the instance has no root and is reported
 as a divergent integral, never silently extrapolated; a NaN value of N is an
 error.  tol must be positive and finite.
@@ -47,6 +47,9 @@ import numpy as np
 from .families import DeformedExponential
 from .jsonutil import jsonable_float
 from .measures import MeasureModel, ProbabilityPair, integrate
+
+KAPPA_MAX = 1e6  # a solve with N(KAPPA_MAX) < 1 reports BRACKET_FAILURE
+MAX_ITER = 400   # N evaluations per solve
 
 
 class SolveStatus(str, Enum):
@@ -148,9 +151,9 @@ def normalization_functional(
     return integrate(pair.measure, _integrand(family, base, u0, kappa, np.empty_like(base)))
 
 
-def _solve(family, measure, alpha, base, u0, tol, kappa_max, initial_hi, max_iter, guess):
+def _solve(family, measure, alpha, base, u0, tol, guess):
     """Solve N(kappa) = 1 from kappa = guess, or from 0 (a cold start) when
-    guess is not inside (0, kappa_max).
+    guess is not inside (0, KAPPA_MAX).
 
     A warm start leaves N(0) unevaluated: lo = 0 is then a bound by convexity
     alone, and it is evaluated, with the cold-start checks, before the first
@@ -163,7 +166,7 @@ def _solve(family, measure, alpha, base, u0, tol, kappa_max, initial_hi, max_ite
     lo, n_lo = 0.0, None           # n_lo is None until N(0) is evaluated
     hi, n_hi = math.inf, None      # n_hi is None until some N >= 1 is seen
     best_k, best_r = math.nan, math.inf
-    kappa = guess if 0.0 < guess < kappa_max else 0.0
+    kappa = guess if 0.0 < guess < KAPPA_MAX else 0.0
     step_1 = step_2 = math.inf     # lengths of the last step and the one before it
     while True:
         evals += 1
@@ -189,7 +192,7 @@ def _solve(family, measure, alpha, base, u0, tol, kappa_max, initial_hi, max_ite
             return KappaSolveResult(alpha, kappa, r, bracket, evals, SolveStatus.CONVERGED), work, values
         if abs(r) < abs(best_r):
             best_k, best_r = kappa, r
-        if evals >= max_iter:
+        if evals >= MAX_ITER:
             break
 
         step = math.nan
@@ -201,13 +204,13 @@ def _solve(family, measure, alpha, base, u0, tol, kappa_max, initial_hi, max_ite
         nxt = kappa + step
         if n_hi is None:
             # no point with N >= 1 yet: the Newton step from below, or expansion
-            if not lo < nxt <= kappa_max:
-                if lo >= kappa_max:
+            if not lo < nxt <= KAPPA_MAX:
+                if lo >= KAPPA_MAX:
                     return KappaSolveResult(
-                        alpha, math.inf, n_lo - 1.0, (kappa_max, math.inf), evals,
+                        alpha, math.inf, n_lo - 1.0, (KAPPA_MAX, math.inf), evals,
                         SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
                     ), None, None
-                nxt = min(max(2.0 * lo, initial_hi), kappa_max)
+                nxt = min(max(2.0 * lo, 1.0), KAPPA_MAX)
         elif not (lo < nxt < hi and abs(step) <= 0.5 * step_2):
             if n_lo is None:
                 nxt = 0.0
@@ -254,32 +257,28 @@ def solve_kappa(
     alpha: float,
     u0=1.0,
     tol: float = 1e-12,
-    kappa_max: float = 1e6,
-    initial_hi: float = 1.0,
-    max_iter: int = 400,
 ) -> KappaSolveResult:
     """Solve N(kappa) = 1 for kappa >= 0 by safeguarded Newton iteration on
-    log N from kappa = 0, with geometric bracket expansion from
-    [0, initial_hi] and bisection as the fallbacks (see the module docstring).
+    log N from kappa = 0, with geometric bracket expansion from [0, 1] and
+    bisection as the fallbacks (see the module docstring).
 
     Returns CONVERGED with |N(kappa) - 1| <= tol, DIVERGENT_INTEGRAL when N
     jumps from below 1 to +inf (no root exists), or BRACKET_FAILURE when
-    N(kappa) stays below 1 up to kappa_max or the iteration stalls above tol.
-    `iterations` counts N evaluations, at most max_iter.  Raises
+    N(kappa) stays below 1 up to KAPPA_MAX or the iteration stalls above tol.
+    `iterations` counts N evaluations, at most MAX_ITER.  Raises
     ArithmeticError when N evaluates to NaN, and ValueError unless
     0 < tol < inf.
     """
     _check_solve_inputs([alpha], tol)
     u0 = _resolve_u0(u0, pair.measure)
     base = interpolation_base(family, pair, alpha)
-    return _solve(family, pair.measure, alpha, base, u0, tol, kappa_max, initial_hi, max_iter, 0.0)[0]
+    return _solve(family, pair.measure, alpha, base, u0, tol, 0.0)[0]
 
 
-def _sweep_kappa(family, pair, alphas, u0, tol, kappa_max=1e6):
-    """solve_kappa at each alpha, in order, with its default initial_hi and
-    max_iter.  phi^-1(p) and phi^-1(q) are computed once; each alpha after a
-    converged one starts from the tangent predictor, each other alpha from
-    kappa = 0."""
+def _sweep_kappa(family, pair, alphas, u0, tol):
+    """solve_kappa at each alpha, in order.  phi^-1(p) and phi^-1(q) are
+    computed once; each alpha after a converged one starts from the tangent
+    predictor, each other alpha from kappa = 0."""
     alphas = [float(a) for a in alphas]
     _check_solve_inputs(alphas, tol)
     u0 = _resolve_u0(u0, pair.measure)
@@ -291,7 +290,7 @@ def _sweep_kappa(family, pair, alphas, u0, tol, kappa_max=1e6):
     guess = 0.0
     for i, alpha in enumerate(alphas):
         _interpolate(inv_p, inv_q, alpha, out=base, rest=scratch)
-        result, w, values = _solve(family, pair.measure, alpha, base, u0, tol, kappa_max, 1.0, 400, guess)
+        result, w, values = _solve(family, pair.measure, alpha, base, u0, tol, guess)
         results.append(result)
         guess = 0.0
         if values is not None and i + 1 < len(alphas):

@@ -209,11 +209,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def save_pair(pair: ProbabilityPair, path, fmt: str | None = None) -> None:
-    """Write a pair as CSV (counting/quad_grid) or JSON (any measure kind)."""
+def save_pair(pair: ProbabilityPair, path) -> None:
+    """Write a pair as JSON (any measure kind) when the path ends in .json,
+    else as CSV (counting/quad_grid)."""
     path = Path(path)
-    fmt = fmt or ("json" if path.suffix == ".json" else "csv")
-    if fmt == "json":
+    if path.suffix == ".json":
         obj = {
             "measure": pair.measure.to_json(),
             "p": _float_list(pair.p),
@@ -221,8 +221,6 @@ def save_pair(pair: ProbabilityPair, path, fmt: str | None = None) -> None:
         }
         path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
     m = pair.measure
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -262,15 +260,13 @@ def read_float_csv(path) -> tuple[list[str], list[list[float]], list[int]]:
     return header, rows, linenos
 
 
-def load_pair(path, fmt: str | None = None) -> ProbabilityPair:
-    """Load a pair saved by save_pair; validation errors carry row numbers."""
+def load_pair(path) -> ProbabilityPair:
+    """Load a pair saved by save_pair (JSON when the path ends in .json, else
+    CSV); validation errors carry row numbers."""
     path = Path(path)
-    fmt = fmt or ("json" if path.suffix == ".json" else "csv")
-    if fmt == "json":
+    if path.suffix == ".json":
         obj = json.loads(path.read_text())
         return ProbabilityPair(measure_from_json(obj["measure"]), obj["p"], obj["q"])
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
     header, rows, linenos = read_float_csv(path)
     if header == ["atom", "p", "q"]:
         measure = Counting(len(rows))

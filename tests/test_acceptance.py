@@ -131,7 +131,7 @@ def test_criterion_5_kaniadakis_worked_example():
     checks = True
     for kp in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0):
         for alpha in (0.1, 0.25, 0.5, 0.9):
-            cert = verify_kaniadakis_u0(kp, alpha, u_lo=-50.0, u_hi=50.0, n_u=10_000)
+            cert = verify_kaniadakis_u0(kp, alpha)
             worst = max(worst, abs(cert.v0 - (1.0 / alpha) ** 0.5))
             checks &= cert.check
     _verdict(5, f"kaniadakis certificate: max |v0 error| = {worst:.3e} <= 1e-8, "

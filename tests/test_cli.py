@@ -25,6 +25,15 @@ def identical_csv(tmp_path):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -44,7 +53,7 @@ class TestDivergenceCommand:
             "--pair", pair_csv, "--alpha", "0.5",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         validate("divergence", obj)
         assert obj["value"] == pytest.approx(0.44628710262841964, abs=1e-9)
         assert obj["status"] == "converged"
@@ -54,7 +63,7 @@ class TestDivergenceCommand:
             "divergence", "--family", "exp", "--pair", identical_csv, "--alpha", "0.3",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         assert obj["value"] == 0.0
         assert obj["kappa"] == 0.0
 
@@ -71,7 +80,7 @@ class TestKappaCommand:
             "kappa", "--family", "exp", "--pair", pair_csv, "--alpha", "0.5",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         validate("kappa", obj)
         assert obj["kappa"] == pytest.approx(0.11157177565710491, abs=1e-10)
 
@@ -101,13 +110,13 @@ class TestProbeCommand:
             "probe", "ratio", "--family", "counterexample", "--lambda0", "1", "--umax", "100",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         validate("probe_ratio", obj)
         assert obj["verdict"] == "unbounded"
 
     def test_ratio_exp_bounded(self, capsys):
         code, out, _ = run_cli(capsys, ["probe", "ratio", "--family", "exp", "--lambda0", "1"])
-        obj = json.loads(out)
+        obj = loads(out)
         validate("probe_ratio", obj)
         assert obj["verdict"] == "bounded"
         assert obj["bound_K"] == pytest.approx(np.e, rel=1e-8)
@@ -118,7 +127,7 @@ class TestProbeCommand:
             "--u0-value", "1", "--ugrid=-30:30:601",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         validate("probe_inequality", obj)
         assert obj["c_found"] == "-inf"
         assert obj["holds"] is True
@@ -129,7 +138,7 @@ class TestProbeCommand:
             "--lambda0", "1", "--ugrid=0:100:101", "--vgrid=0:20:21",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         validate("probe_envelope", obj)
         assert obj["holds"] is True
 
@@ -146,6 +155,22 @@ class TestProbeCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["envelope", "--bound-k", "nan"], "need 1 <= K < inf and 0 < lambda0 < inf"),
+        (["envelope", "--bound-k", "inf"], "need 1 <= K < inf and 0 < lambda0 < inf"),
+        (["envelope", "--lambda0", "nan"], "need 1 <= K < inf and 0 < lambda0 < inf"),
+        (["inequality", "--u0-value", "nan"], "u0_value must be positive and finite"),
+        (["inequality", "--u0-value", "inf"], "u0_value must be positive and finite"),
+        (["ratio", "--lambda0", "nan"], "lambda0 must be positive and finite"),
+        (["ratio", "--lambda0", "inf"], "lambda0 must be positive and finite"),
+        (["ratio", "--threshold", "nan"], "threshold must be positive and finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, capsys, args, message):
+        # on the counterexample, which fails every probe, a NaN parameter used
+        # to give "holds": true or a misleading error
+        code, out, err = run_cli(capsys, ["probe", args[0], "--family", "counterexample"] + args[1:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("kind", ["inequality", "envelope"])
     def test_default_grids_clipped_to_tabulated_range(self, capsys, tmp_path, kind):
         u = np.linspace(-40.0, 40.0, 161)
@@ -153,7 +178,7 @@ class TestProbeCommand:
         knots.write_text("u,phi\n" + "\n".join(f"{ui},{vi}" for ui, vi in zip(u, np.exp(u))) + "\n")
         code, out, err = run_cli(capsys, ["probe", kind, "--family", f"tabulated:{knots}"])
         assert (code, err) == (0, "")
-        obj = json.loads(out)
+        obj = loads(out)
         validate(f"probe_{kind}", obj)
         if kind == "inequality":
             # u - u0 >= -40 and u <= 40 on the default grid's step of 1/8; exp
@@ -172,7 +197,7 @@ class TestProbeCommand:
                 "--lambda0", "1", "--umax", "299"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
-        assert json.loads(out)["verdict"] == "inconclusive"
+        assert loads(out)["verdict"] == "inconclusive"
         code, _, _ = run_cli(capsys, argv + ["--strict"])
         assert code == 4
 
@@ -183,7 +208,7 @@ class TestConstructU0Command:
             "construct-u0", "--family", "counterexample", "--alpha", "0.3",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         validate("construct_u0", obj)
         assert obj["certificate_ok"] is True
 
@@ -195,7 +220,7 @@ class TestConstructU0Command:
             "--alpha", "0.5", "--u0", f"seq:{u0_path}",
         ])
         assert code == 0
-        assert json.loads(out)["status"] == "converged"
+        assert loads(out)["status"] == "converged"
 
     def test_seq_u0_length_mismatch(self, capsys, tmp_path, pair_csv):
         u0_path = tmp_path / "u0.csv"
@@ -215,7 +240,7 @@ class TestConstructU0Command:
             "construct-u0", "--family", f"tabulated:{knots}", "--alpha", "0.3",
         ])
         assert (code, err) == (0, "")
-        obj = json.loads(out)
+        obj = loads(out)
         validate("construct_u0", obj)
         assert obj["certificate_ok"] is True
 
@@ -233,7 +258,22 @@ class TestConstructU0Command:
             "--alpha", "0.4", "--u0", f"constructed:{path}",
         ])
         assert code == 0
-        assert json.loads(out)["status"] == "converged"
+        assert loads(out)["status"] == "converged"
+
+
+class TestVacuousCertificates:
+    @pytest.mark.parametrize("argv, message", [
+        (["demo-counterexample", "--lam", "nan", "--output", "json"], "lam must be positive and finite"),
+        (["demo-counterexample", "--lam", "nan"], "lam must be positive and finite"),
+        (["construct-u0", "--family", "exp", "--alpha", "0.3", "--terms", "0"], "n_terms must be >= 1"),
+        (["construct-u0", "--family", "exp", "--alpha", "0.3", "--target", "nan"],
+         "summability_target must be positive and finite"),
+        (["validate-phi", "--family", "exp", "--umin", "nan"], "u_grid must be finite"),
+        (["validate-phi", "--family", "exp", "--umax", "inf"], "u_grid must be finite"),
+    ], ids=["demo-json", "demo-csv", "terms-0", "target-nan", "umin-nan", "umax-inf"])
+    def test_vacuous_input_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestDemoCommand:
@@ -250,7 +290,7 @@ class TestDemoCommand:
             "demo-counterexample", "--lam", "1", "--pieces", "15", "--output", "json",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         validate("demo_counterexample", obj)
         assert obj["certifies_lambda_at_least"] == 1.0
 
@@ -261,7 +301,7 @@ class TestValidatePhiCommand:
             "validate-phi", "--family", "exp", "--umin", "-50", "--umax", "50", "--n", "201",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         validate("validate_phi", obj)
         assert obj["passed"] is True
 
@@ -273,7 +313,7 @@ class TestValidatePhiCommand:
             "--umin", "0", "--umax", "4", "--n", "3",
         ])
         assert code == 2
-        obj = json.loads(out)
+        obj = loads(out)
         validate("validate_phi", obj)
         assert obj["passed"] is False
 
@@ -284,7 +324,7 @@ class TestOracleCommand:
             "oracle", "--pair", pair_csv, "--alpha", "0.5", "--tsallis-q", "1.5",
         ])
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         validate("oracle", obj)
         assert obj["classical_renyi"] == pytest.approx(0.44628710262841964, rel=1e-12)
         assert obj["kl_pq"] == pytest.approx(0.5108256237659907, rel=1e-12)
@@ -301,7 +341,7 @@ class TestExitCodes:
             "divergence", "--family", "counterexample", "--pair", str(path), "--alpha", "0.5",
         ])
         assert code == 3
-        obj = json.loads(out)
+        obj = loads(out)
         assert obj["status"] == "divergent_integral"
         assert obj["value"] == "inf"
 
@@ -352,6 +392,26 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: tol must be positive and finite\n"
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["kappa", "--alpha", "0.5"],
+        ["divergence", "--alpha", "0.5"],
+        ["sweep", "--alphas", "0.25,0.5,0.75"],
+    ], ids=["kappa", "divergence", "sweep"])
+    def test_const_u0_must_be_positive_and_finite(self, capsys, pair_csv, command, value):
+        code, out, err = run_cli(capsys, command + [
+            "--family", "exp", "--pair", pair_csv, "--u0", f"const:{value}",
+        ])
+        assert (code, out, err) == (2, "", "error: u0 must be strictly positive and finite\n")
+
+    def test_non_finite_json_value_is_an_error(self, capsys, pair_csv):
+        # q = nan makes the Tsallis relative entropy NaN, which JSON cannot hold
+        code, out, err = run_cli(capsys, [
+            "oracle", "--pair", pair_csv, "--alpha", "0.5", "--tsallis-q", "nan",
+        ])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(capsys, [
             "divergence", "--family", "exp", "--pair", "/nonexistent.csv", "--alpha", "0.5",
@@ -387,5 +447,5 @@ class TestOutFile:
         ])
         assert code == 0
         assert out == ""
-        obj = json.loads(target.read_text())
+        obj = loads(target.read_text())
         assert obj["status"] == "converged"

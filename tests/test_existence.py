@@ -82,6 +82,13 @@ class TestRatioProbe:
         with pytest.raises(ValueError):
             ratio_limsup_probe(ClassicalExp(), 1.0, u_max=math.inf)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda0_and_threshold_rejected(self, bad):
+        with pytest.raises(ValueError, match="^lambda0 must be positive and finite$"):
+            ratio_limsup_probe(CounterexamplePhi(), bad)
+        with pytest.raises(ValueError, match="^threshold must be positive and finite$"):
+            ratio_limsup_probe(CounterexamplePhi(), 1.0, threshold=bad)
+
     @pytest.mark.parametrize("spec", BOUNDED_FAMILIES)
     def test_bounded_verdict_feeds_inequality_probe(self, spec):
         """A Bounded(K, c) verdict means alpha = 1/K shows no violation at u >= c."""
@@ -130,6 +137,12 @@ class TestInequalityProbe:
             pointwise_inequality_probe(ClassicalExp(), 0.5, -1.0, grid)
         with pytest.raises(ValueError, match="nothing to check"):
             pointwise_inequality_probe(ClassicalExp(), 0.5, 1.0, [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_u0_value_rejected(self, bad):
+        # a NaN u0_value used to report no violation on the counterexample
+        with pytest.raises(ValueError, match="^u0_value must be positive and finite$"):
+            pointwise_inequality_probe(CounterexamplePhi(), 0.5, bad, np.linspace(-50, 200, 11))
 
 
 class TestKaniadakisCertificate:
@@ -195,6 +208,15 @@ class TestGrowthEnvelope:
             growth_envelope_check(ClassicalExp(), 2.0, 1.0, 500.0, [0.0, 1.0], [0.0])
         with pytest.raises(ValueError, match="nothing to check"):
             growth_envelope_check(ClassicalExp(), 2.0, 1.0, 0.0, [0.0, 1.0], [])
+
+    @pytest.mark.parametrize("K, lambda0", [
+        (math.nan, 1.0), (math.inf, 1.0), (math.e, math.nan), (math.e, math.inf),
+    ])
+    def test_non_finite_arguments_rejected(self, K, lambda0):
+        # a NaN K or lambda0 used to make the counterexample's envelope hold
+        with pytest.raises(ValueError, match="need 1 <= K < inf and 0 < lambda0 < inf"):
+            growth_envelope_check(CounterexamplePhi(), K, lambda0, -math.inf,
+                                  np.linspace(0, 120, 11), np.linspace(0, 20, 5))
 
 
 ALL_BUILTINS = BOUNDED_FAMILIES + ["counterexample"]
@@ -287,6 +309,18 @@ class TestU0Construction:
         with pytest.raises(ValueError):
             construct_u0_sequence(ClassicalExp(), 0.3, lambda_sequence=np.array([-1.0, -2.0]))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_terms": 0}, "n_terms must be >= 1"),
+        ({"n_terms": -1}, "n_terms must be >= 1"),
+        ({"summability_target": math.nan}, "summability_target must be positive and finite"),
+        ({"summability_target": math.inf}, "summability_target must be positive and finite"),
+        ({"summability_target": 0.0}, "summability_target must be positive and finite"),
+    ])
+    def test_vacuous_certificate_rejected(self, kwargs, message):
+        # n_terms = 0 used to certify an empty sequence
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            construct_u0_sequence(ClassicalExp(), 0.3, **kwargs)
+
     def test_shifted_sums_stay_summable(self):
         fam = KaniadakisKappa(0.5)
         con = construct_u0_sequence(fam, alpha=0.3)
@@ -332,6 +366,12 @@ class TestAdversarialDemo:
             adversarial_nonexistence_demo(0.0, 20)
         with pytest.raises(ValueError):
             adversarial_nonexistence_demo(1.0, 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, bad):
+        # a NaN lam used to pass the growth self-check vacuously
+        with pytest.raises(ValueError, match="^lam must be positive and finite$"):
+            adversarial_nonexistence_demo(bad, 20, build_pair=False)
 
 
 class TestDivergentPair:

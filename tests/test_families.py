@@ -135,6 +135,14 @@ class TestInverseDerivative:
         numeric = (np.asarray(fam.phi_inv(v + h)) - np.asarray(fam.phi_inv(v - h))) / (2 * h)
         np.testing.assert_allclose(np.asarray(fam.phi_inv_deriv(v)), numeric, rtol=1e-6)
 
+    @pytest.mark.parametrize("q", [0.0, 0.05, 0.5, 2.0])
+    def test_tsallis_exact_near_bottom_of_support(self, q):
+        # (phi^-1)'(v) = v^(1/m - 1); 1 / phi'(phi^-1(v)) would lose up to 2e-5
+        # here, since 1 + u/m cancels as u nears -m
+        fam = TsallisQ(q)
+        v = np.geomspace(1e-12, 1.0, 25)
+        np.testing.assert_allclose(fam.phi_inv_deriv(v), v ** (1.0 / fam.m - 1.0), rtol=1e-13)
+
 
 @settings(max_examples=200, deadline=None)
 @given(u=st.floats(min_value=-25.0, max_value=25.0, allow_nan=False))
@@ -207,6 +215,14 @@ class TestValidation:
         report = validate_family(fam, np.array([0.0, 2.0, 4.0]))
         assert len(report.convexity_violations) == 1
         assert not report.passed
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # an all-NaN grid used to pass: NaN comparisons flag nothing
+        with pytest.raises(ValueError, match="u_grid must be finite"):
+            validate_family(ClassicalExp(), np.full(11, bad))
+        with pytest.raises(ValueError, match="u_grid must be finite"):
+            validate_family(ClassicalExp(), [0.0, 1.0, bad])
 
 
 class TestTabulated:

@@ -12,6 +12,7 @@ from deformed_renyi.families import (
     TsallisQ,
 )
 from deformed_renyi.kappa import (
+    KAPPA_MAX,
     SolveStatus,
     classical_kappa,
     normalization_functional,
@@ -133,20 +134,17 @@ class TestSolve:
         assert math.isfinite(n_last)
 
     def test_bracket_failure_reported_not_extrapolated(self):
-        res = solve_kappa(ClassicalExp(), PAIR, 0.5, kappa_max=1e-3)
+        # kappa scales as 1/u0 for exp: about 1.1e8 here, beyond KAPPA_MAX
+        res = solve_kappa(ClassicalExp(), PAIR, 0.5, u0=1e-9)
         assert res.status is SolveStatus.BRACKET_FAILURE
         assert res.kappa == math.inf
+        assert res.bracket == (KAPPA_MAX, math.inf)
         assert res.last_finite[1] < 1.0
 
     def test_alpha_endpoints_rejected(self):
         for alpha in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 solve_kappa(ClassicalExp(), PAIR, alpha)
-
-    def test_bracket_scale_free(self):
-        base = solve_kappa(ClassicalExp(), PAIR, 0.5, initial_hi=1.0)
-        doubled = solve_kappa(ClassicalExp(), PAIR, 0.5, initial_hi=2.0)
-        assert doubled.kappa == pytest.approx(base.kappa, abs=1e-12)
 
     def test_array_u0(self):
         u0 = np.array([0.5, 2.0])
@@ -175,7 +173,7 @@ class TestSolve:
 
 
 def test_result_json_uses_finite_convention():
-    res = solve_kappa(ClassicalExp(), PAIR, 0.5, kappa_max=1e-3)
+    res = solve_kappa(ClassicalExp(), PAIR, 0.5, u0=1e-9)
     obj = res.to_json()
     assert obj["kappa"] == "inf"
     assert obj["status"] == "bracket_failure"

@@ -8,7 +8,14 @@ import pytest
 
 from deformed_renyi.divergences import generalized_renyi, sweep
 from deformed_renyi.families import BUILTIN_FAMILIES, ClassicalExp, TabulatedMonotone, parse_family_spec
-from deformed_renyi.kappa import SolveStatus, _sweep_kappa, classical_kappa, normalization_functional, solve_kappa
+from deformed_renyi.kappa import (
+    KAPPA_MAX,
+    SolveStatus,
+    _sweep_kappa,
+    classical_kappa,
+    normalization_functional,
+    solve_kappa,
+)
 from deformed_renyi.measures import Counting, ProbabilityPair, QuadGrid
 from reference_solver import bisection_kappa, slope
 
@@ -98,14 +105,16 @@ class TestSweep:
     def test_bracket_failure_mid_sweep_then_cold_restart(self):
         alphas = [0.05, 0.5, 0.95]
         kappas = [solve_kappa(ClassicalExp(), PAIR, a).kappa for a in alphas]
-        kappa_max = 0.5 * (max(kappas[0], kappas[2]) + kappas[1])
-        results = _sweep_kappa(ClassicalExp(), PAIR, alphas, 1.0, TOL, kappa_max=kappa_max)
+        # kappa scales as 1/u0 for exp, so with this u0 only the middle
+        # alpha's kappa lies beyond KAPPA_MAX
+        u0 = 0.5 * (max(kappas[0], kappas[2]) + kappas[1]) / KAPPA_MAX
+        results = _sweep_kappa(ClassicalExp(), PAIR, alphas, u0, TOL)
         assert [r.status for r in results] == [
             SolveStatus.CONVERGED, SolveStatus.BRACKET_FAILURE, SolveStatus.CONVERGED]
         assert results[1].kappa == math.inf
         for alpha, result in zip(alphas[::2], results[::2]):
-            single = solve_kappa(ClassicalExp(), PAIR, alpha, kappa_max=kappa_max)
-            check_against(ClassicalExp(), PAIR, alpha, 1.0, result, single)
+            single = solve_kappa(ClassicalExp(), PAIR, alpha, u0=u0)
+            check_against(ClassicalExp(), PAIR, alpha, u0, result, single)
 
     def test_phi_inv_called_once_per_density(self):
         class CountingExp(ClassicalExp):
