@@ -140,10 +140,16 @@ def kl_divergence(pair: ProbabilityPair) -> float:
 
 
 def tsallis_relative_entropy(pair: ProbabilityPair, q_param: float) -> float:
-    """Tsallis relative entropy  integral p ln_q(p/q) dmu,  q_param != 1."""
+    """Tsallis relative entropy  integral p ln_q(p/q) dmu,  q_param finite and != 1."""
+    if not math.isfinite(q_param):
+        raise ValueError(f"q_param must be finite, got {q_param}")
     if q_param == 1.0:
         raise ValueError("q_param must differ from 1; use kl_divergence for the limit")
-    return integrate(pair.measure, pair.p * q_logarithm(pair.p / pair.q, q_param))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = integrate(pair.measure, pair.p * q_logarithm(pair.p / pair.q, q_param))
+    if not math.isfinite(value):
+        raise ValueError(f"Tsallis relative entropy is not finite in float64 at q_param={q_param}")
+    return value
 
 
 @dataclass

@@ -92,24 +92,66 @@ def _phi_or_zero(family: DeformedExponential, u) -> np.ndarray:
     return out
 
 
-def _refine_last(pred, grid: np.ndarray, tol: float = 0.0):
-    """Bracket (lo, hi) from the last grid point where the array predicate
-    holds to the next grid point, bisected until it is narrower than tol or
-    lo and hi are adjacent floats.  None when the predicate holds nowhere."""
-    hits = np.nonzero(pred(grid))[0]
+def _last_bracket(holds: np.ndarray, grid: np.ndarray):
+    """(grid[i], grid[i + 1]) for the last i where holds is true, (grid[-1],
+    grid[-1]) when that is the last point; None when it holds nowhere."""
+    hits = np.nonzero(holds)[0]
     if hits.size == 0:
         return None
     i = int(hits[-1])
-    lo, hi = grid[i], grid[min(i + 1, grid.size - 1)]
-    while hi - lo >= tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if pred(np.array([mid]))[0]:
-            lo = mid
-        else:
-            hi = mid
+    return grid[i], grid[min(i + 1, grid.size - 1)]
+
+
+# levels of the bisection tree evaluated per predicate call: 63 midpoints
+BISECT_DEPTH = 6
+
+
+def _midpoint_tree(lo, hi) -> np.ndarray:
+    """The 2^BISECT_DEPTH - 1 bisection midpoints below (lo, hi) in level
+    order: node k has the children 2k + 1 (its lower half) and 2k + 2 (its
+    upper half).  Each is 0.5 * (lo + hi) of its own interval, the very
+    operation a one-point-at-a-time bisection performs."""
+    bounds = np.array([lo, hi])
+    levels = []
+    for _ in range(BISECT_DEPTH):
+        mids = 0.5 * (bounds[:-1] + bounds[1:])
+        levels.append(mids)
+        split = np.empty(2 * bounds.size - 1)
+        split[0::2] = bounds
+        split[1::2] = mids
+        bounds = split
+    return np.concatenate(levels)
+
+
+def _bisect_last(pred, lo, hi, tol: float):
+    """Bisect (lo, hi), keeping the upper half where the array predicate holds
+    at the midpoint, until the bracket is narrower than tol or lo and hi are
+    adjacent floats.  The predicate sees BISECT_DEPTH levels of midpoints per
+    call, and the descent through them applies the same tests in the same
+    order as a scalar loop, so the bracket is the scalar loop's for any
+    elementwise predicate."""
+    # the root's tests up front: no call once the bracket cannot shrink
+    while hi - lo >= tol and lo < 0.5 * (lo + hi) < hi:
+        mids = _midpoint_tree(lo, hi)
+        holds = pred(mids)
+        k = 0
+        for _ in range(BISECT_DEPTH):
+            mid = mids[k]
+            if not (hi - lo >= tol and lo < mid < hi):
+                return lo, hi
+            if holds[k]:
+                lo, k = mid, 2 * k + 2
+            else:
+                hi, k = mid, 2 * k + 1
     return lo, hi
+
+
+def _refine_last(pred, grid: np.ndarray, tol: float):
+    """Bracket (lo, hi) from the last grid point where the array predicate
+    holds to the next grid point, bisected until it is narrower than tol or
+    lo and hi are adjacent floats.  None when the predicate holds nowhere."""
+    bracket = _last_bracket(pred(grid), grid)
+    return None if bracket is None else _bisect_last(pred, *bracket, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +358,8 @@ def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertific
     flips = int(np.count_nonzero(np.diff(signs) != 0))
     if flips != 1 or signs[0] >= 0 or signs[-1] <= 0:
         raise MinimizationError(f"objective not unimodal on samples ({flips} slope sign changes)")
-    lo, hi = _refine_last(lambda v: g_prime(v) < 0, v_grid)
+    # unimodal with a negative first slope, so the bracket exists
+    lo, hi = _bisect_last(lambda v: g_prime(v) < 0, *_last_bracket(slopes < 0, v_grid), 0.0)
     v0 = 0.5 * (lo + hi)
 
     lam = float(family.phi_inv(v0) - family.phi_inv(alpha * v0))
@@ -357,6 +400,10 @@ class EnvelopeCheck:
         }
 
 
+# (u, v) elements per envelope block: each temporary stays near 256 KiB
+ENVELOPE_BLOCK = 2 ** 15
+
+
 def growth_envelope_check(
     family: DeformedExponential, K: float, lambda0: float, c: float, u_grid, v_grid
 ) -> EnvelopeCheck:
@@ -374,13 +421,20 @@ def growth_envelope_check(
     if u.size == 0 or v.size == 0:
         raise ValueError("no sampled u >= c and v >= 0: nothing to check")
     log_u = np.asarray(family.log_phi(u))
-    lhs = np.asarray(family.log_phi(u[:, None] + v[None, :]))
-    rhs = math.log(K) + log_u[:, None] + lam * v[None, :]
-    i, j = np.nonzero(_log_exceeds(lhs, rhs))
+    lam_v = lam * v[None, :]
+    rows = max(1, ENVELOPE_BLOCK // v.size)
+    blocks = []
+    for start in range(0, u.size, rows):
+        ub = u[start:start + rows]
+        lhs = np.asarray(family.log_phi(ub[:, None] + v[None, :]))
+        rhs = math.log(K) + log_u[start:start + rows, None] + lam_v
+        i, j = np.nonzero(_log_exceeds(lhs, rhs))
+        blocks.append(np.column_stack([ub[i], v[j], lhs[i, j], rhs[i, j]]))
+    counterexamples = np.concatenate(blocks)
     return EnvelopeCheck(
         K=K, lambda0=lambda0, c=c, lam=lam,
-        holds=i.size == 0, n_checked=int(lhs.size),
-        counterexamples=np.column_stack([u[i], v[j], lhs[i, j], rhs[i, j]]),
+        holds=counterexamples.shape[0] == 0, n_checked=u.size * v.size,
+        counterexamples=counterexamples,
     )
 
 
@@ -648,7 +702,12 @@ def adversarial_nonexistence_demo(lam: float, n_pieces: int = 60, build_pair: bo
     spacing = max(1.0, 1.0 / lam)
     n = np.arange(1, n_pieces + 1, dtype=float)
     c = spacing * n
-    log_phi_c = np.asarray(family.log_phi(c))
+    with np.errstate(over="ignore"):
+        log_phi_c = np.asarray(family.log_phi(c))
+    if not np.all(np.isfinite(log_phi_c)):
+        raise ConstructionError(
+            f"lam={lam:g} is too small: log phi(c_n) overflows at the ladder spacing 1/lam = {spacing:g}"
+        )
     log_mass = -n * math.log(2.0) - log_phi_c
 
     term1 = np.exp2(-n)

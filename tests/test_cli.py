@@ -1,10 +1,12 @@
 import json
+import math
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
+from deformed_renyi import cli
 from deformed_renyi.cli import main
 from deformed_renyi.measures import Counting, ProbabilityPair, save_pair
 
@@ -275,6 +277,15 @@ class TestVacuousCertificates:
         code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("lam", ["1e-300", "1e-160"])
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_demo_lam_too_small_for_the_ladder(self, capsys, lam, output):
+        # the spacing 1/lam would overflow log phi(c_n): one error line, no numpy warning
+        code, out, err = run_cli(capsys, ["demo-counterexample", "--lam", lam, "--output", output])
+        spacing = format(1.0 / float(lam), "g")
+        assert (code, out, err) == (2, "", f"error: lam={float(lam):g} is too small: log phi(c_n) "
+                                           f"overflows at the ladder spacing 1/lam = {spacing}\n")
+
 
 class TestDemoCommand:
     def test_csv_table(self, capsys):
@@ -404,13 +415,26 @@ class TestExitCodes:
         ])
         assert (code, out, err) == (2, "", "error: u0 must be strictly positive and finite\n")
 
-    def test_non_finite_json_value_is_an_error(self, capsys, pair_csv):
-        # q = nan makes the Tsallis relative entropy NaN, which JSON cannot hold
+    def test_non_finite_json_value_is_an_error(self, capsys, pair_csv, monkeypatch):
+        # a NaN that reaches the JSON writer, which cannot hold it; tsallis_relative_entropy
+        # itself rejects every input that would give one, so the NaN is injected
+        monkeypatch.setattr(cli, "tsallis_relative_entropy", lambda pair, q: math.nan)
         code, out, err = run_cli(capsys, [
-            "oracle", "--pair", pair_csv, "--alpha", "0.5", "--tsallis-q", "nan",
+            "oracle", "--pair", pair_csv, "--alpha", "0.5", "--tsallis-q", "1.5",
         ])
         assert (code, out) == (2, "")
         assert err.startswith("error: Out of range float values are not JSON compliant")
+
+    @pytest.mark.parametrize("q, message", [
+        ("nan", "q_param must be finite, got nan"),
+        ("inf", "q_param must be finite, got inf"),
+        ("1e308", "Tsallis relative entropy is not finite in float64 at q_param=1e+308"),
+    ])
+    def test_tsallis_q_without_finite_value_rejected(self, capsys, pair_csv, q, message):
+        code, out, err = run_cli(capsys, [
+            "oracle", "--pair", pair_csv, "--alpha", "0.5", "--tsallis-q", q,
+        ])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(capsys, [

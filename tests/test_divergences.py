@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ class TestClassicalOracles:
     def test_tsallis_rejects_q_one(self):
         with pytest.raises(ValueError):
             tsallis_relative_entropy(PAIR, 1.0)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_tsallis_rejects_non_finite_q(self, q):
+        with pytest.raises(ValueError, match="^q_param must be finite"):
+            tsallis_relative_entropy(PAIR, q)
+
+    @pytest.mark.parametrize("q", [1e308, -1e308, -800.0])
+    def test_tsallis_overflow_names_q(self, q):
+        # ln_q(p/q) overflows float64; the error names q_param and no warning leaks
+        with pytest.raises(ValueError, match=re.escape(f"not finite in float64 at q_param={q}") + "$"):
+            tsallis_relative_entropy(PAIR, q)
 
 
 class TestLimitDivergence:

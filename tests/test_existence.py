@@ -373,6 +373,12 @@ class TestAdversarialDemo:
         with pytest.raises(ValueError, match="^lam must be positive and finite$"):
             adversarial_nonexistence_demo(bad, 20, build_pair=False)
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e-160])
+    def test_lambda_too_small_for_the_ladder(self, lam):
+        # spacing 1/lam overflows log phi(c_n); raised before any NaN is formed
+        with pytest.raises(ConstructionError, match=f"^lam={lam:g} is too small: log phi"):
+            adversarial_nonexistence_demo(lam, build_pair=False)
+
 
 class TestDivergentPair:
     def test_normalization_jumps_to_sentinel(self):
