@@ -48,6 +48,7 @@ EXIT_USAGE = 64
 
 UGRID_DEFAULT = "-50:200:2001"
 VGRID_DEFAULT = "0:20:201"
+UMIN_DEFAULT, UMAX_DEFAULT = -50.0, 50.0  # validate-phi
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,8 +213,12 @@ def _cmd_demo(args) -> int:
 
 def _cmd_validate_phi(args) -> int:
     family = parse_family_spec(args.family)
+    # a default bound is clipped to where a tabulated family is defined
+    lo, hi = _shifted_range(family, 0.0)
+    umin = max(UMIN_DEFAULT, lo) if args.umin is None else args.umin
+    umax = min(UMAX_DEFAULT, hi) if args.umax is None else args.umax
     with np.errstate(invalid="ignore"):  # a non-finite bound gives a grid validate_family rejects
-        grid = np.linspace(args.umin, args.umax, args.n)
+        grid = np.linspace(umin, umax, args.n)
     report = validate_family(family, grid)
     _emit_json(report.to_json(), args)
     return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -296,8 +301,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate-phi", parents=[common], help="numeric check of the axioms on a grid")
     p.add_argument("--family", required=True)
-    p.add_argument("--umin", type=float, default=-50.0)
-    p.add_argument("--umax", type=float, default=50.0)
+    p.add_argument("--umin", type=float, help=f"default {UMIN_DEFAULT:g}, clipped to a tabulated family's range")
+    p.add_argument("--umax", type=float, help=f"default {UMAX_DEFAULT:g}, clipped to a tabulated family's range")
     p.add_argument("--n", type=int, default=2001)
     p.set_defaults(func=_cmd_validate_phi)
 

@@ -69,12 +69,11 @@ def sweep(
     u0=1.0,
     tol: float = 1e-12,
 ) -> list[DivergenceReport]:
-    """generalized_renyi at each alpha, in the given order, by one
-    predictor-corrector continuation: phi^-1(p) and phi^-1(q) are computed
-    once, and each solve starts from the tangent predictor of the previous
-    converged alpha (from kappa = 0 after one that did not converge).  Every
-    report meets the same tolerance as a single solve; a non-converged alpha
-    does not stop the sweep.
+    """generalized_renyi at each alpha, in the given order: phi^-1(p) and
+    phi^-1(q) are computed once, and each solve starts from the previous
+    converged alpha's divergence value, kappa = D_i alpha (1 - alpha) (from
+    kappa = 0 after one that did not converge).  Every report meets the same
+    tolerance as a single solve; a non-converged alpha does not stop the sweep.
     """
     label = _u0_label(u0)
     return [_report(family, result, label) for result in _sweep_kappa(family, pair, alphas, u0, tol)]

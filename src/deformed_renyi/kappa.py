@@ -27,13 +27,12 @@ N'(kappa) = u0 integral phi'(w) dmu, so no n-length copy of u0 is built.  A
 per-atom u0 array is validated and multiplied in as it is.
 
 A sweep over several alphas computes phi^-1(p) and phi^-1(q) once and starts
-each solve from the predictor kappa_i + (dkappa/dalpha) (alpha_{i+1} - alpha_i),
-where the implicit function theorem gives
-
-    dkappa/dalpha = -integral phi'(w) (phi^-1(p) - phi^-1(q)) dmu / N'(kappa_i)
-
-at the previous converged point (predictor-corrector continuation).  After an
-alpha that did not converge, the next one starts cold from kappa = 0.
+each solve from the previous converged alpha's divergence value
+D_i = kappa_i / (alpha_i (1 - alpha_i)), that is from
+kappa = D_i alpha_{i+1} (1 - alpha_{i+1}).  D has finite limits at both
+endpoints (the phi-divergences), so kappa vanishes at alpha = 0 and 1 and D
+varies slowly in alpha: the start costs nothing.  After an alpha that did not
+converge, the next one starts cold from kappa = 0.
 """
 
 from __future__ import annotations
@@ -96,12 +95,6 @@ def _resolve_u0(u0, measure: MeasureModel):
     return arr
 
 
-def as_u0_array(u0, measure: MeasureModel) -> np.ndarray:
-    """Broadcast a positive scalar or validate a per-atom positive array."""
-    u0 = _resolve_u0(u0, measure)
-    return np.full(measure.size, u0) if isinstance(u0, float) else u0
-
-
 def _interpolate(inv_p, inv_q, alpha: float, out, rest):
     """alpha inv_p + (1-alpha) inv_q into out, using rest as scratch."""
     np.multiply(inv_p, alpha, out=out)
@@ -157,12 +150,10 @@ def _solve(family, measure, alpha, base, u0, tol, guess):
 
     A warm start leaves N(0) unevaluated: lo = 0 is then a bound by convexity
     alone, and it is evaluated, with the cold-start checks, before the first
-    fallback step.  Returns the result, then w and phi(w) at the returned kappa
-    when it converged, else None and None.
+    fallback step.
     """
     work = np.empty_like(base)
     evals = 0
-    values = None
     lo, n_lo = 0.0, None           # n_lo is None until N(0) is evaluated
     hi, n_hi = math.inf, None      # n_hi is None until some N >= 1 is seen
     best_k, best_r = math.nan, math.inf
@@ -180,7 +171,7 @@ def _solve(family, measure, alpha, base, u0, tol, guess):
             n_lo = n
             if abs(r) <= tol:
                 # includes p = q, where the integrand collapses to p and kappa = 0 exactly
-                return KappaSolveResult(alpha, 0.0, r, (0.0, 0.0), evals, SolveStatus.CONVERGED), work, values
+                return KappaSolveResult(alpha, 0.0, r, (0.0, 0.0), evals, SolveStatus.CONVERGED)
             if n > 1.0:
                 raise ValueError(f"N(0) = {n} > 1; phi is not convex on the data or the pair is invalid")
         elif n < 1.0:
@@ -189,7 +180,7 @@ def _solve(family, measure, alpha, base, u0, tol, guess):
             hi, n_hi = kappa, n
         if abs(r) <= tol:
             bracket = (lo, hi if n_hi is not None else kappa)
-            return KappaSolveResult(alpha, kappa, r, bracket, evals, SolveStatus.CONVERGED), work, values
+            return KappaSolveResult(alpha, kappa, r, bracket, evals, SolveStatus.CONVERGED)
         if abs(r) < abs(best_r):
             best_k, best_r = kappa, r
         if evals >= MAX_ITER:
@@ -209,7 +200,7 @@ def _solve(family, measure, alpha, base, u0, tol, guess):
                     return KappaSolveResult(
                         alpha, math.inf, n_lo - 1.0, (KAPPA_MAX, math.inf), evals,
                         SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
-                    ), None, None
+                    )
                 nxt = min(max(2.0 * lo, 1.0), KAPPA_MAX)
         elif not (lo < nxt < hi and abs(step) <= 0.5 * step_2):
             if n_lo is None:
@@ -226,21 +217,11 @@ def _solve(family, measure, alpha, base, u0, tol, guess):
         return KappaSolveResult(
             alpha, math.inf, n_lo - 1.0, (lo, hi), evals,
             SolveStatus.DIVERGENT_INTEGRAL, last_finite=(lo, n_lo),
-        ), None, None
+        )
     return KappaSolveResult(
         alpha, best_k, best_r, (lo, hi), evals,
         SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
-    ), None, None
-
-
-def _kappa_rate(family, measure, w, values, u0, diff, scratch) -> float:
-    """dkappa/dalpha = -integral phi'(w) diff dmu / integral phi'(w) u0 dmu
-    from w and values = phi(w) at a solved point; NaN when the denominator is
-    not finite and positive."""
-    slope = family._phi_prime(w, values)
-    n_alpha = integrate(measure, np.multiply(slope, diff, out=scratch))
-    n_kappa = _u0_integral(measure, slope, u0)
-    return -n_alpha / n_kappa if 0.0 < n_kappa < math.inf else math.nan
+    )
 
 
 def _check_solve_inputs(alphas, tol) -> None:
@@ -272,32 +253,27 @@ def solve_kappa(
     _check_solve_inputs([alpha], tol)
     u0 = _resolve_u0(u0, pair.measure)
     base = interpolation_base(family, pair, alpha)
-    return _solve(family, pair.measure, alpha, base, u0, tol, 0.0)[0]
+    return _solve(family, pair.measure, alpha, base, u0, tol, 0.0)
 
 
 def _sweep_kappa(family, pair, alphas, u0, tol):
     """solve_kappa at each alpha, in order.  phi^-1(p) and phi^-1(q) are
-    computed once; each alpha after a converged one starts from the tangent
-    predictor, each other alpha from kappa = 0."""
+    computed once; each alpha after a converged one starts from the previous
+    divergence value, each other alpha from kappa = 0."""
     alphas = [float(a) for a in alphas]
     _check_solve_inputs(alphas, tol)
     u0 = _resolve_u0(u0, pair.measure)
     inv_p = family.phi_inv(pair.p)
     inv_q = family.phi_inv(pair.q)
     base, scratch = np.empty_like(inv_p), np.empty_like(inv_p)
-    diff = None
     results = []
-    guess = 0.0
-    for i, alpha in enumerate(alphas):
+    divergence = 0.0
+    for alpha in alphas:
+        scale = alpha * (1.0 - alpha)  # kappa = D alpha (1 - alpha)
         _interpolate(inv_p, inv_q, alpha, out=base, rest=scratch)
-        result, w, values = _solve(family, pair.measure, alpha, base, u0, tol, guess)
+        result = _solve(family, pair.measure, alpha, base, u0, tol, divergence * scale)
         results.append(result)
-        guess = 0.0
-        if values is not None and i + 1 < len(alphas):
-            if diff is None:
-                diff = np.subtract(inv_p, inv_q)
-            rate = _kappa_rate(family, pair.measure, w, values, u0, diff, scratch)
-            guess = result.kappa + rate * (alphas[i + 1] - alpha)
+        divergence = result.kappa / scale if result.status is SolveStatus.CONVERGED else 0.0
     return results
 
 

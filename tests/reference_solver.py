@@ -6,8 +6,14 @@ import math
 
 import numpy as np
 
-from deformed_renyi.kappa import KappaSolveResult, SolveStatus, as_u0_array, interpolation_base
+from deformed_renyi.kappa import KappaSolveResult, SolveStatus, _resolve_u0, interpolation_base
 from deformed_renyi.measures import integrate
+
+
+def as_u0_array(u0, measure):
+    """Broadcast a positive scalar or validate a per-atom positive array."""
+    u0 = _resolve_u0(u0, measure)
+    return np.full(measure.size, u0) if isinstance(u0, float) else u0
 
 
 def bisection_kappa(family, pair, alpha, u0=1.0, tol=1e-12, kappa_max=1e6, initial_hi=1.0, max_iter=400):

@@ -173,16 +173,22 @@ class TestProbeCommand:
         code, out, err = run_cli(capsys, ["probe", args[0], "--family", "counterexample"] + args[1:])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("kind", ["inequality", "envelope"])
+    @pytest.mark.parametrize("kind", ["inequality", "envelope", "validate-phi"])
     def test_default_grids_clipped_to_tabulated_range(self, capsys, tmp_path, kind):
         u = np.linspace(-40.0, 40.0, 161)
         knots = tmp_path / "exp_knots.csv"
         knots.write_text("u,phi\n" + "\n".join(f"{ui},{vi}" for ui, vi in zip(u, np.exp(u))) + "\n")
-        code, out, err = run_cli(capsys, ["probe", kind, "--family", f"tabulated:{knots}"])
+        command = ["validate-phi"] if kind == "validate-phi" else ["probe", kind]
+        code, out, err = run_cli(capsys, command + ["--family", f"tabulated:{knots}"])
         assert (code, err) == (0, "")
         obj = loads(out)
-        validate(f"probe_{kind}", obj)
-        if kind == "inequality":
+        validate("validate_phi" if kind == "validate-phi" else f"probe_{kind}", obj)
+        if kind == "validate-phi":
+            # the default [-50, 50] becomes the knot range [-40, 40], still 2001 points
+            assert (obj["n_points"], obj["passed"]) == (2001, True)
+            assert obj["tail_low_value"] == pytest.approx(math.exp(-40.0), rel=1e-12)
+            assert obj["tail_high_value"] == pytest.approx(math.exp(40.0), rel=1e-12)
+        elif kind == "inequality":
             # u - u0 >= -40 and u <= 40 on the default grid's step of 1/8; exp
             # at alpha 0.5 and u0 1 violates the inequality everywhere
             assert (obj["grid_max"], obj["n_violations"], obj["holds"]) == (40.0, 633, False)

@@ -1,12 +1,13 @@
-"""The safeguarded Newton solve and the predictor-corrector sweep, checked
-against the reference bisection solve in reference_solver.py."""
+"""The safeguarded Newton solve and the alpha sweep, which starts each alpha
+from the previous converged alpha's divergence value, checked against the
+reference bisection solve in reference_solver.py."""
 
 import math
 
 import numpy as np
 import pytest
 
-from deformed_renyi.divergences import generalized_renyi, sweep
+from deformed_renyi.divergences import default_alpha_sequence, generalized_renyi, sweep
 from deformed_renyi.families import BUILTIN_FAMILIES, ClassicalExp, TabulatedMonotone, parse_family_spec
 from deformed_renyi.kappa import (
     KAPPA_MAX,
@@ -67,6 +68,8 @@ def test_sweep_matches_single_solves(family, measure_kind, n):
     for u0 in (1.0, u0_array):
         reports = sweep(family, pair, ALPHAS, u0=u0, tol=TOL)
         assert [r.alpha for r in reports] == list(ALPHAS)
+        # the first alpha starts cold, as a single solve does
+        assert reports[0].solver == solve_kappa(family, pair, ALPHAS[0], u0=u0, tol=TOL)
         for alpha, report in zip(ALPHAS, reports):
             single = solve_kappa(family, pair, alpha, u0=u0, tol=TOL)
             check_against(family, pair, alpha, u0, report.solver, single)
@@ -130,12 +133,20 @@ class TestSweep:
         assert family.calls == 2
 
     def test_predictor_saves_evaluations(self):
-        pair, _ = problem("counting", 1000)
-        alphas = np.linspace(0.02, 0.98, 49)
-        for family in FAMILIES:
-            warm = sum(r.solver.iterations for r in sweep(family, pair, alphas))
-            cold = sum(solve_kappa(family, pair, float(a)).iterations for a in alphas)
-            assert warm <= cold, repr(family)
+        """Starting from the previous divergence value never costs more
+        N-evaluations than a cold start at every alpha: on both measures,
+        for a scalar and a per-atom u0, on the 49-point grid, the CLI's
+        19-point default and both endpoint limit sequences."""
+        grids = [np.linspace(0.02, 0.98, 49), np.linspace(0.05, 0.95, 19),
+                 default_alpha_sequence(1), default_alpha_sequence(0)]
+        for measure_kind in ("counting", "trapezoid"):
+            pair, u0_array = problem(measure_kind, 1000)
+            for u0 in (1.0, u0_array):
+                for alphas in grids:
+                    for family in FAMILIES:
+                        warm = sum(r.solver.iterations for r in sweep(family, pair, alphas, u0=u0))
+                        cold = sum(solve_kappa(family, pair, float(a), u0=u0).iterations for a in alphas)
+                        assert warm <= cold, (repr(family), measure_kind, alphas[0])
 
     def test_alphas_validated_before_any_solve(self):
         with pytest.raises(ValueError, match="alpha must be in"):
