@@ -20,7 +20,6 @@ from .families import (
     TabulatedMonotone,
     TsallisQ,
     ValidationReport,
-    family_from_json,
     parse_family_spec,
     q_logarithm,
     validate_family,

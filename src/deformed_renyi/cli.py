@@ -119,19 +119,23 @@ def _status_exit(status: SolveStatus) -> int:
     return EXIT_OK if status is SolveStatus.CONVERGED else EXIT_NO_ROOT
 
 
-def _cmd_divergence(args) -> int:
+def _problem(args):
+    """The family, the pair and the u0 of a solver subcommand."""
     family = parse_family_spec(args.family)
     pair = load_pair(args.pair)
-    u0 = _parse_u0(args.u0, pair.measure.size)
-    report = generalized_renyi(family, pair, args.alpha, u0=u0, tol=args.tol, u0_label=args.u0)
+    return family, pair, _parse_u0(args.u0, pair.measure.size)
+
+
+def _cmd_divergence(args) -> int:
+    family, pair, u0 = _problem(args)
+    report = generalized_renyi(family, pair, args.alpha, u0=u0, tol=args.tol)
+    report.u0 = args.u0  # the spec as given, not the solver's label
     _emit_json(report.to_json(), args)
     return _status_exit(report.status)
 
 
 def _cmd_kappa(args) -> int:
-    family = parse_family_spec(args.family)
-    pair = load_pair(args.pair)
-    u0 = _parse_u0(args.u0, pair.measure.size)
+    family, pair, u0 = _problem(args)
     result = solve_kappa(family, pair, args.alpha, u0=u0, tol=args.tol)
     obj = result.to_json()
     obj["family"] = family.family_id
@@ -140,9 +144,7 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    family = parse_family_spec(args.family)
-    pair = load_pair(args.pair)
-    u0 = _parse_u0(args.u0, pair.measure.size)
+    family, pair, u0 = _problem(args)
     reports = sweep(family, pair, _parse_alphas(args.alphas), u0=u0, tol=args.tol)
     rows = [
         [format(r.alpha, ".17g"), format(r.kappa, ".17g"), format(r.value, ".17g"), r.status.value]
@@ -205,7 +207,7 @@ def _cmd_demo(args) -> int:
         header = ["n", "c_value", "log_mass", "term_phi_c", "cumsum_phi_c",
                   "gap_phi_c", "term_shifted", "cumsum_shifted"]
         rows = [[row["n"]] + [format(row[k], ".17g") for k in header[1:]] for row in demo.rows()]
-        note = (f"# divergence certified for shifts >= {demo.certifies_lambda_at_least:g} "
+        note = (f"# divergence certified for shifts >= {demo.lam:g} "
                 f"(shifted terms grow by e^(lambda*spacing)/2 per row)\n")
         _emit(note + _csv_text(header, rows), args.out)
     return EXIT_OK
@@ -246,28 +248,22 @@ def build_parser() -> _Parser:
     common.add_argument("--out", help="write output to this path instead of stdout")
     solver = argparse.ArgumentParser(add_help=False, parents=[common])
     solver.add_argument("--tol", type=float, default=1e-12, help="solver tolerance on the normalization residual")
+    solver.add_argument("--family", required=True)
+    solver.add_argument("--pair", required=True)
+    solver.add_argument("--u0", default="const:1")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("divergence", parents=[solver], help="generalized Renyi divergence report")
-    p.add_argument("--family", required=True)
-    p.add_argument("--pair", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--u0", default="const:1")
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("kappa", parents=[solver], help="solve the normalizing shift")
-    p.add_argument("--family", required=True)
-    p.add_argument("--pair", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--u0", default="const:1")
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("sweep", parents=[solver], help="alpha-grid CSV of (alpha, kappa, value)")
-    p.add_argument("--family", required=True)
-    p.add_argument("--pair", required=True)
     p.add_argument("--alphas", default="0.05:0.95:19", help="comma list or lo:hi:n grid")
-    p.add_argument("--u0", default="const:1")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("probe", parents=[common], help="existence-condition probes")

@@ -55,11 +55,14 @@ def generalized_renyi(
     alpha: float,
     u0=1.0,
     tol: float = 1e-12,
-    u0_label: str | None = None,
 ) -> DivergenceReport:
-    """kappa(alpha) / (alpha (1 - alpha)); +inf when the solver reports no root."""
+    """kappa(alpha) / (alpha (1 - alpha)); +inf when the solver reports no root.
+
+    The report's u0 label is "const:<x>" for a scalar u0 and "seq[<n>]" for a
+    per-atom one.
+    """
     result = solve_kappa(family, pair, alpha, u0=u0, tol=tol)
-    return _report(family, result, u0_label if u0_label is not None else _u0_label(u0))
+    return _report(family, result, _u0_label(u0))
 
 
 def sweep(
@@ -161,15 +164,6 @@ class LimitEstimate:
     table: list = field(default_factory=list)  # (alpha, divergence value)
     converged: bool = True       # successive differences shrink monotonically
 
-    def to_json(self):
-        return {
-            "endpoint": self.endpoint,
-            "value": self.value,
-            "raw_last": self.raw_last,
-            "converged": self.converged,
-            "table": [[a, v] for a, v in self.table],
-        }
-
 
 def default_alpha_sequence(endpoint: int) -> np.ndarray:
     """Alphas at distance 2^-4, ..., 2^-14 from the endpoint."""
@@ -182,29 +176,21 @@ def limit_divergence(
     pair: ProbabilityPair,
     u0=1.0,
     endpoint: int = 1,
-    alpha_sequence=None,
-    tol: float = 1e-12,
 ) -> LimitEstimate:
-    """Extrapolate the endpoint limit along alphas tending to 0 or 1.
+    """Extrapolate the endpoint limit along default_alpha_sequence(endpoint).
 
-    The table comes from interior solves (one `sweep`), never from the
-    derivative of kappa at the endpoint itself.  The estimate is the final
-    table entry plus a single Richardson step from the last two entries; the
-    full table is returned so convergence can be judged.  A table whose
-    successive differences fail to shrink flags the estimate as non-converged.
+    The table comes from interior solves (one `sweep` at the default
+    tolerance), never from the derivative of kappa at the endpoint itself.
+    The distances to the endpoint halve, so the estimate is the final table
+    entry plus the Richardson step for a ratio of 1/2, the last difference
+    once more; the full table is returned so convergence can be judged.  A
+    table whose successive differences fail to shrink flags the estimate as
+    non-converged.
     """
     if endpoint not in (0, 1):
         raise ValueError("endpoint must be 0 or 1")
-    if alpha_sequence is None:
-        alpha_sequence = default_alpha_sequence(endpoint)
-    alphas = np.asarray(alpha_sequence, dtype=float)
-    if alphas.size < 2:
-        raise ValueError("alpha_sequence needs at least 2 points")
-    dist = alphas if endpoint == 0 else 1.0 - alphas
-    if np.any(dist <= 0) or np.any(np.diff(dist) >= 0):
-        raise ValueError("alpha_sequence must approach the endpoint strictly monotonically inside (0, 1)")
-
-    reports = sweep(family, pair, alphas, u0=u0, tol=tol)
+    alphas = default_alpha_sequence(endpoint)
+    reports = sweep(family, pair, alphas, u0=u0)
     for report in reports:
         if report.status is not SolveStatus.CONVERGED:
             raise ArithmeticError(f"solver status {report.status.value} at alpha={report.alpha}")
@@ -214,9 +200,7 @@ def limit_divergence(
     window = diffs[-6:]
     converged = bool(np.all(window[1:] <= window[:-1] * 1.25 + 1e-12))
 
-    r = dist[-1] / dist[-2]
-    correction = (values[-1] - values[-2]) * r / (1.0 - r)
-    estimate = float(values[-1] + correction)
+    estimate = float(values[-1] + (values[-1] - values[-2]))
     return LimitEstimate(
         endpoint=endpoint,
         value=estimate,
@@ -231,18 +215,17 @@ def kappa_derivative_at_endpoint(
     pair: ProbabilityPair,
     endpoint: int,
     u0=1.0,
-    tol: float = 1e-12,
 ) -> float:
     """One-sided finite-difference estimate of d kappa / d alpha at 0 or 1.
 
     kappa vanishes at both endpoints, so the derivative reduces to
-    +-kappa(h)/h one step h = 1e-5 inside the interval.  Cross-checks the
-    identity that the endpoint limits of the divergence equal the
-    phi-divergence.
+    +-kappa(h)/h one step h = 1e-5 inside the interval, solved at the
+    default tolerance.  Cross-checks the identity that the endpoint limits of
+    the divergence equal the phi-divergence.
     """
     h = 1e-5
     if endpoint == 0:
-        return solve_kappa(family, pair, h, u0=u0, tol=tol).kappa / h
+        return solve_kappa(family, pair, h, u0=u0).kappa / h
     if endpoint == 1:
-        return -solve_kappa(family, pair, 1.0 - h, u0=u0, tol=tol).kappa / h
+        return -solve_kappa(family, pair, 1.0 - h, u0=u0).kappa / h
     raise ValueError("endpoint must be 0 or 1")

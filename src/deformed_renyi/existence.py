@@ -26,6 +26,7 @@ import numpy as np
 
 from .families import LOG_PHI_MAX, PHI_MAX, CounterexamplePhi, DeformedExponential, KaniadakisKappa
 from .jsonutil import jsonable_float, jsonable_floats
+from .kappa import normalization_functional
 from .measures import ProbabilityPair, SimpleNonAtomic
 
 VERDICT_BOUNDED = "bounded"
@@ -653,7 +654,6 @@ class AdversarialDemo:
     gap_phi_c: np.ndarray         # analytic remaining gap 2^-n
     term_shifted: np.ndarray      # masses * phi(c + lam)
     cumsum_shifted: np.ndarray
-    certifies_lambda_at_least: float
     pair: ProbabilityPair | None = None
 
     def rows(self):
@@ -674,7 +674,7 @@ class AdversarialDemo:
             "lambda": self.lam,
             "n_pieces": self.n_pieces,
             "spacing": self.spacing,
-            "certifies_lambda_at_least": self.certifies_lambda_at_least,
+            "certifies_lambda_at_least": self.lam,
             "first_column_final": float(self.cumsum_phi_c[-1]),
             "first_column_gap": float(self.gap_phi_c[-1]),
             "second_column_final": jsonable_float(self.cumsum_shifted[-1]),
@@ -708,17 +708,16 @@ def adversarial_nonexistence_demo(lam: float, n_pieces: int = 60, build_pair: bo
         raise ConstructionError(
             f"lam={lam:g} is too small: log phi(c_n) overflows at the ladder spacing 1/lam = {spacing:g}"
         )
-    log_mass = -n * math.log(2.0) - log_phi_c
+    log_half_n = -n * math.log(2.0)
+    log_mass = log_half_n - log_phi_c
 
     term1 = np.exp2(-n)
-    # cross-check the closed form against the float evaluation
-    recomputed = np.exp(log_mass + log_phi_c)
-    if not np.allclose(recomputed, term1, rtol=1e-9):
-        raise ConstructionError("mass/value cancellation failed its self-check")
     cumsum1 = np.cumsum(term1)
-    gap1 = np.exp2(-n)
 
-    log_term2 = log_mass + np.asarray(family.log_phi(c + lam))
+    # log_mass + log phi(c + lam) with log phi(c + lam) - log phi(c) taken on
+    # the u >= 0 branch (c_n >= 1): at a small lam, log phi(c_n) ~ (n/lam)^2/2
+    # would swamp -n log 2 if it were added and subtracted
+    log_term2 = log_half_n + lam * (c + 1.0) + 0.5 * lam * lam
     if np.any(np.diff(log_term2) <= 0):
         raise ConstructionError(f"shifted column is not strictly growing for lam={lam}")
     with np.errstate(over="ignore"):
@@ -729,8 +728,7 @@ def adversarial_nonexistence_demo(lam: float, n_pieces: int = 60, build_pair: bo
     return AdversarialDemo(
         lam=lam, n_pieces=n_pieces, spacing=spacing, c_values=c,
         log_masses=log_mass, term_phi_c=term1, cumsum_phi_c=cumsum1,
-        gap_phi_c=gap1, term_shifted=term2, cumsum_shifted=cumsum2,
-        certifies_lambda_at_least=lam, pair=pair,
+        gap_phi_c=term1, term_shifted=term2, cumsum_shifted=cumsum2, pair=pair,
     )
 
 
@@ -777,8 +775,6 @@ def build_divergent_pair() -> ProbabilityPair:
     pair = ProbabilityPair(measure, p, q)
 
     # self-certify: finite and below 1 just under the jump, saturated just above
-    from .kappa import normalization_functional
-
     below = normalization_functional(family, pair, 0.5, 1.0, jump_kappa * (1.0 - 1e-3))
     above = normalization_functional(family, pair, 0.5, 1.0, jump_kappa * (1.0 + 1e-3))
     if not (math.isfinite(below) and below < 1.0 and math.isinf(above)):

@@ -9,7 +9,6 @@ existence probes use to avoid overflow).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -122,9 +121,6 @@ class DeformedExponential:
 
     def params(self) -> dict:
         return {}
-
-    def to_json(self) -> dict:
-        return {"family": self.family_id, "params": self.params()}
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params().items())
@@ -479,16 +475,6 @@ def validate_family(family: DeformedExponential, u_grid) -> ValidationReport:
 _FAMILIES = {
     cls.family_id: cls for cls in (ClassicalExp, TsallisQ, KaniadakisKappa, CounterexamplePhi, TabulatedMonotone)
 }
-
-
-def family_from_json(obj) -> DeformedExponential:
-    """Build a family from {"family": name, "params": {...}} (dict or JSON text)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    name = obj.get("family")
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
-    return _FAMILIES[name](**obj.get("params", {}))
 
 
 def parse_family_spec(spec: str) -> DeformedExponential:

@@ -60,6 +60,10 @@ class QuadGrid:
         weights = _readonly(weights)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise MeasureError("nodes and weights must be 1-d arrays of equal length")
+        if not np.all(np.isfinite(nodes)):
+            raise MeasureError("nodes must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise MeasureError("weights must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise MeasureError("nodes must be strictly increasing")
         if np.any(weights <= 0):
@@ -105,6 +109,8 @@ class SimpleNonAtomic:
         masses = _readonly([m for _, m in pieces])
         if len(set(ids)) != len(ids):
             raise MeasureError("piece ids must be unique")
+        if not np.all(np.isfinite(masses)):
+            raise MeasureError("piece masses must be finite")
         if np.any(masses <= 0):
             raise MeasureError("piece masses must be positive")
         self.piece_ids = tuple(ids)
@@ -187,7 +193,7 @@ class ProbabilityPair:
                 bad = int(np.argmin((vals > 0) & np.isfinite(vals)))
                 raise PairValidationError(f"{name}[{bad}] = {vals[bad]} is not strictly positive and finite")
             total = integrate(measure, vals)
-            if abs(total - 1.0) > self.NORM_TOL:
+            if not abs(total - 1.0) <= self.NORM_TOL:  # a NaN total fails too
                 raise PairValidationError(f"{name} integrates to {total!r}, not 1")
 
     @classmethod

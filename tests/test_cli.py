@@ -69,6 +69,22 @@ class TestDivergenceCommand:
         assert obj["value"] == 0.0
         assert obj["kappa"] == 0.0
 
+    @pytest.mark.parametrize("kind", ["const", "seq"])
+    def test_u0_spec_echoed(self, capsys, tmp_path, pair_csv, kind):
+        if kind == "const":
+            spec = "const:1"
+        else:
+            u0_path = tmp_path / "u0.csv"
+            u0_path.write_text("u0\n0.5\n2.0\n")
+            spec = f"seq:{u0_path}"
+        code, out, _ = run_cli(capsys, [
+            "divergence", "--family", "exp", "--pair", pair_csv, "--alpha", "0.5", "--u0", spec,
+        ])
+        assert code == 0
+        obj = loads(out)
+        validate("divergence", obj)
+        assert obj["u0"] == spec
+
     def test_deterministic_output(self, capsys, pair_csv):
         argv = ["divergence", "--family", "kaniadakis:0.5", "--pair", pair_csv, "--alpha", "0.37"]
         _, out1, _ = run_cli(capsys, argv)
@@ -379,6 +395,16 @@ class TestExitCodes:
         ])
         assert code == 2
         assert f"{bad}: row 4: probabilities must be > 0" in err
+
+    @pytest.mark.parametrize("column", ["node", "weight"])
+    def test_nan_quadrature_cell_names_column(self, capsys, tmp_path, column):
+        # a NaN weight used to load and fail later as "N(kappa) is NaN", blaming the solver
+        rows = [["0.0", "0.25", "1.0", "0.5"], ["0.5", "0.5", "1.0", "1.0"], ["1.0", "0.25", "1.0", "1.5"]]
+        rows[1][0 if column == "node" else 1] = "nan"
+        bad = tmp_path / "quad.csv"
+        bad.write_text("node,weight,p,q\n" + "".join(",".join(r) + "\n" for r in rows))
+        code, out, err = run_cli(capsys, ["kappa", "--family", "exp", "--pair", str(bad), "--alpha", "0.5"])
+        assert (code, out, err) == (2, "", f"error: {column}s must be finite\n")
 
     @pytest.mark.parametrize("kind", ["seq", "tabulated"])
     def test_bad_csv_cell_names_file_and_row(self, capsys, tmp_path, pair_csv, kind):

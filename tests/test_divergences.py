@@ -14,7 +14,15 @@ from deformed_renyi.divergences import (
     phi_divergence,
     tsallis_relative_entropy,
 )
-from deformed_renyi.families import ClassicalExp, CounterexamplePhi, KaniadakisKappa, TabulatedMonotone, TsallisQ
+from deformed_renyi.families import (
+    BUILTIN_FAMILIES,
+    ClassicalExp,
+    CounterexamplePhi,
+    KaniadakisKappa,
+    TabulatedMonotone,
+    TsallisQ,
+    parse_family_spec,
+)
 from deformed_renyi.kappa import SolveStatus
 from deformed_renyi.measures import Counting, ProbabilityPair, QuadGrid
 
@@ -136,6 +144,26 @@ class TestPhiDivergence:
             est0 = limit_divergence(fam, pair, endpoint=0)
             assert est0.value == pytest.approx(phi_divergence(fam, pair.swapped()), abs=1e-4)
 
+    @pytest.mark.parametrize("measure", ["counting", "trapezoid"])
+    @pytest.mark.parametrize("spec", BUILTIN_FAMILIES)
+    def test_per_atom_u0_limits_and_slopes(self, spec, measure):
+        # the endpoint limits and slopes follow the direction u0 atom by atom
+        fam = parse_family_spec(spec)
+        rng = np.random.default_rng(5)
+        for n in (8, 1000):
+            m = Counting(n) if measure == "counting" else QuadGrid.trapezoid(0.0, 1.0, n)
+            raw = rng.uniform(0.2, 1.0, size=(2, n))
+            pair = ProbabilityPair.from_raw(m, raw[0], raw[1])
+            u0 = rng.uniform(0.5, 2.0, n)
+            d_pq = phi_divergence(fam, pair, u0)
+            d_qp = phi_divergence(fam, pair.swapped(), u0)
+            assert limit_divergence(fam, pair, u0=u0, endpoint=1).value == pytest.approx(d_pq, abs=1e-7)
+            assert limit_divergence(fam, pair, u0=u0, endpoint=0).value == pytest.approx(d_qp, abs=1e-7)
+            slope1 = -kappa_derivative_at_endpoint(fam, pair, 1, u0=u0)
+            slope0 = kappa_derivative_at_endpoint(fam, pair, 0, u0=u0)
+            assert slope1 == pytest.approx(d_pq, rel=1e-4, abs=1e-12)
+            assert slope0 == pytest.approx(d_qp, rel=1e-4, abs=1e-12)
+
     def test_divergent_numerator_and_denominator_reported_distinctly(self):
         from deformed_renyi.divergences import DivergentNumerator
 
@@ -226,10 +254,6 @@ class TestLimitDivergence:
     def test_bad_sequences_rejected(self):
         with pytest.raises(ValueError):
             limit_divergence(ClassicalExp(), PAIR, endpoint=2)
-        with pytest.raises(ValueError):
-            limit_divergence(ClassicalExp(), PAIR, endpoint=1, alpha_sequence=[0.9, 0.8, 0.95])
-        with pytest.raises(ValueError):
-            limit_divergence(ClassicalExp(), PAIR, endpoint=1, alpha_sequence=[0.9])
 
 
 class TestEndpointDerivative:

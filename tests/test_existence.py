@@ -354,6 +354,17 @@ class TestAdversarialDemo:
         assert demo.spacing == 10.0
         assert np.all(np.diff(np.log(demo.term_shifted)) > 0)
 
+    @pytest.mark.parametrize("lam", [3e-5, 1e-10, 1e-150])
+    def test_small_lambda_table(self, lam):
+        # spacing 1/lam makes log phi(c_n) dwarf -n log 2; the shifted column
+        # still grows by exactly e^(lam spacing)/2 = e/2 per row
+        demo = adversarial_nonexistence_demo(lam, 60, build_pair=False)
+        assert demo.spacing == 1.0 / lam
+        np.testing.assert_array_equal(demo.term_phi_c, np.exp2(-np.arange(1, 61.0)))
+        np.testing.assert_allclose(demo.term_shifted[1:] / demo.term_shifted[:-1], math.e / 2.0, rtol=1e-13)
+        assert demo.cumsum_shifted[-1] > 1e6
+        assert demo.to_json()["certifies_lambda_at_least"] == lam
+
     def test_certifies_larger_shifts(self):
         demo = adversarial_nonexistence_demo(0.8, 30, build_pair=False)
         fam = CounterexamplePhi()

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from deformed_renyi.families import (
     KaniadakisKappa,
     TabulatedMonotone,
     TsallisQ,
-    family_from_json,
     parse_family_spec,
     q_logarithm,
     validate_family,
@@ -283,14 +281,6 @@ class TestTabulated:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        tabulated = TabulatedMonotone([(-4.0, 0.5), (0.0, 1.0), (4.0, 9.0)])
-        for fam in BUILTINS + [tabulated]:
-            clone = family_from_json(json.dumps(fam.to_json()))
-            assert type(clone) is type(fam)
-            u = np.linspace(-3, 3, 13)
-            np.testing.assert_allclose(clone.phi(u), fam.phi(u), rtol=1e-15)
-
     def test_parse_specs(self, tmp_path):
         assert isinstance(parse_family_spec("exp"), ClassicalExp)
         assert parse_family_spec("tsallis:0.5").q == 0.5

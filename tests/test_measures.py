@@ -109,6 +109,17 @@ class TestQuadGrid:
         with pytest.raises(MeasureError):
             QuadGrid.trapezoid(1.0, 0.0, 10)
 
+    @pytest.mark.parametrize("node", [math.nan, math.inf])
+    def test_non_finite_node_rejected(self, node):
+        # NaN fails every comparison, so a strictly-increasing test alone passes it
+        with pytest.raises(MeasureError, match="^nodes must be finite$"):
+            QuadGrid([0.0, 0.5, node], [0.25, 0.5, 0.25])
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(MeasureError, match="^weights must be finite$"):
+            QuadGrid([0.0, 0.5, 1.0], [0.25, weight, 0.25])
+
 
 class TestSimpleNonAtomic:
     def test_duplicate_ids_rejected(self):
@@ -119,6 +130,11 @@ class TestSimpleNonAtomic:
         with pytest.raises(MeasureError):
             SimpleNonAtomic([("a", 0.0)])
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(MeasureError, match="^piece masses must be finite$"):
+            SimpleNonAtomic([("a", 0.5), ("b", mass)])
+
 
 class TestProbabilityPair:
     def test_positive_and_normalized_enforced(self):
@@ -127,6 +143,15 @@ class TestProbabilityPair:
             ProbabilityPair(m, [0.5, 0.5], [1.5, 0.5])  # q not normalized
         with pytest.raises(PairValidationError):
             ProbabilityPair(m, [1.0, 0.0], [0.5, 0.5])  # zero entry
+
+    def test_nan_total_rejected(self):
+        # a measure that bypasses the constructors' checks: |nan - 1| > tol is false
+        class NanWeights:
+            size = 2
+            weights = np.array([math.nan, 1.0])
+
+        with pytest.raises(PairValidationError, match="^p integrates to nan, not 1$"):
+            ProbabilityPair(NanWeights(), [0.5, 0.5], [0.5, 0.5])
 
     def test_from_raw_normalizes(self):
         pair = ProbabilityPair.from_raw(Counting(3), [1, 1, 2], [3, 1, 1])
