@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -241,7 +242,10 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser tree, built once per process; parsing never modifies it, and
+    sys.stdout, sys.stderr and the terminal width are read when it prints."""
     parser = _Parser(prog="deformed-renyi", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
@@ -312,8 +316,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:

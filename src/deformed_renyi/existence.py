@@ -718,8 +718,13 @@ def adversarial_nonexistence_demo(lam: float, n_pieces: int = 60, build_pair: bo
     # the u >= 0 branch (c_n >= 1): at a small lam, log phi(c_n) ~ (n/lam)^2/2
     # would swamp -n log 2 if it were added and subtracted
     log_term2 = log_half_n + lam * (c + 1.0) + 0.5 * lam * lam
-    if np.any(np.diff(log_term2) <= 0):
-        raise ConstructionError(f"shifted column is not strictly growing for lam={lam}")
+    # the growth lam spacing - log 2 per row is >= 1 - log 2 in exact
+    # arithmetic, so only rounding against lam^2/2 (or lam^2 = inf, where
+    # the differences are inf - inf) can stop the column from growing
+    with np.errstate(invalid="ignore"):
+        growing = np.all(np.diff(log_term2) > 0)
+    if not growing:
+        raise ConstructionError(f"lam={lam:g} is too large: lam^2/2 swamps the per-row growth")
     with np.errstate(over="ignore"):
         term2 = np.exp(log_term2)
     cumsum2 = np.cumsum(term2)

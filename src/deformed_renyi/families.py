@@ -33,7 +33,8 @@ class FamilyParameterError(ValueError):
 
 
 def _scalar_like(x, arr):
-    return float(arr) if np.isscalar(x) or np.ndim(x) == 0 else arr
+    """arr as a float when the ndarray x that it was computed from is 0-d."""
+    return float(arr) if x.ndim == 0 else arr
 
 
 def q_logarithm(x, q):
@@ -129,7 +130,7 @@ class DeformedExponential:
     @staticmethod
     def _check_positive(v):
         v = np.asarray(v, dtype=float)
-        if not np.all(v > 0):
+        if v.size and not v.min() > 0:  # a NaN minimum fails too
             raise DomainError("phi_inv requires v > 0")
         return v
 
@@ -357,7 +358,9 @@ class TabulatedMonotone(DeformedExponential):
         return cls.from_csv(arg)
 
     def _log_phi(self, u):
-        if np.any(u < self.u_knots[0]) or np.any(u > self.u_knots[-1]):
+        # fmin and fmax skip NaN, which passes and gives phi = NaN
+        if u.size and (np.fmin.reduce(u, axis=None) < self.u_knots[0]
+                       or np.fmax.reduce(u, axis=None) > self.u_knots[-1]):
             raise DomainError(
                 f"u outside tabulated range [{self.u_knots[0]}, {self.u_knots[-1]}]"
             )
@@ -366,7 +369,7 @@ class TabulatedMonotone(DeformedExponential):
     def _segment(self, v):
         """(log v, i) with log v inside the rising knot segment [i - 1, i]."""
         logv = np.log(v)
-        if np.any(logv < self.log_knots[0]) or np.any(logv > self.log_knots[-1]):
+        if logv.size and (logv.min() < self.log_knots[0] or logv.max() > self.log_knots[-1]):
             raise DomainError("v outside tabulated phi range")
         left = np.searchsorted(self.log_knots, logv, side="left")
         right = np.searchsorted(self.log_knots, logv, side="right")

@@ -45,7 +45,7 @@ import numpy as np
 
 from .families import DeformedExponential
 from .jsonutil import jsonable_float
-from .measures import MeasureModel, ProbabilityPair, integrate
+from .measures import MeasureModel, ProbabilityPair, integrate, positive_finite
 
 KAPPA_MAX = 1e6  # a solve with N(KAPPA_MAX) < 1 reports BRACKET_FAILURE
 MAX_ITER = 400   # N evaluations per solve
@@ -90,7 +90,7 @@ def _resolve_u0(u0, measure: MeasureModel):
         return u0
     if arr.shape != (measure.size,):
         raise ValueError(f"u0 has shape {arr.shape}, expected ({measure.size},)")
-    if np.any(~(arr > 0)) or np.any(~np.isfinite(arr)):
+    if not positive_finite(arr):
         raise ValueError("u0 must be strictly positive and finite")
     return arr
 

@@ -162,6 +162,13 @@ def integrate(measure: MeasureModel, values) -> float:
     return total
 
 
+def positive_finite(arr: np.ndarray) -> bool:
+    """Every entry of a float array lies in (0, inf); NaN fails, and an empty
+    array passes.  One reduction each way, since a NaN minimum or maximum
+    fails its comparison."""
+    return not arr.size or (arr.min() > 0.0 and arr.max() < math.inf)
+
+
 def normalize(measure: MeasureModel, raw) -> np.ndarray:
     """Scale positive raw values so they integrate to 1."""
     raw = np.asarray(raw, dtype=float)
@@ -189,7 +196,7 @@ class ProbabilityPair:
         for name, vals in (("p", self.p), ("q", self.q)):
             if vals.shape != (measure.size,):
                 raise PairValidationError(f"{name} has shape {vals.shape}, expected ({measure.size},)")
-            if np.any(~(vals > 0)) or np.any(~np.isfinite(vals)):
+            if not positive_finite(vals):
                 bad = int(np.argmin((vals > 0) & np.isfinite(vals)))
                 raise PairValidationError(f"{name}[{bad}] = {vals[bad]} is not strictly positive and finite")
             total = integrate(measure, vals)
@@ -287,4 +294,6 @@ def load_pair(path) -> ProbabilityPair:
     for lineno, pi, qi in zip(linenos, p, q):
         if pi <= 0 or qi <= 0:
             raise PairValidationError(f"{path}: row {lineno}: probabilities must be > 0 (p={pi}, q={qi})")
+        if not (pi < math.inf and qi < math.inf):  # NaN or +inf
+            raise PairValidationError(f"{path}: row {lineno}: probabilities must be finite (p={pi}, q={qi})")
     return ProbabilityPair(measure, p, q)

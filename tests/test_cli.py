@@ -37,7 +37,11 @@ def loads(text):
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    """(exit code, stdout, stderr) of one in-process call, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -308,6 +312,14 @@ class TestVacuousCertificates:
         assert (code, out, err) == (2, "", f"error: lam={float(lam):g} is too small: log phi(c_n) "
                                            f"overflows at the ladder spacing 1/lam = {spacing}\n")
 
+    @pytest.mark.parametrize("lam", ["2e16", "1e200"])
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_demo_lam_too_large_for_the_growth(self, capsys, lam, output):
+        # rounding against lam^2/2 (or lam^2 = inf) flattens the shifted column
+        code, out, err = run_cli(capsys, ["demo-counterexample", "--lam", lam, "--output", output])
+        assert (code, out, err) == (2, "", f"error: lam={float(lam):g} is too large: "
+                                           "lam^2/2 swamps the per-row growth\n")
+
 
 class TestDemoCommand:
     def test_csv_table(self, capsys):
@@ -395,6 +407,15 @@ class TestExitCodes:
         ])
         assert code == 2
         assert f"{bad}: row 4: probabilities must be > 0" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_probability_cell_names_file_and_row(self, capsys, tmp_path, cell):
+        # a NaN cell used to pass the row check and fail later without the file or the row
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"atom,p,q\n1,{cell},0.9\n2,0.5,0.1\n")
+        code, out, err = run_cli(capsys, ["kappa", "--family", "exp", "--pair", str(bad), "--alpha", "0.5"])
+        assert (code, out, err) == (
+            2, "", f"error: {bad}: row 2: probabilities must be finite (p={float(cell)}, q=0.9)\n")
 
     @pytest.mark.parametrize("column", ["node", "weight"])
     def test_nan_quadrature_cell_names_column(self, capsys, tmp_path, column):
@@ -505,3 +526,41 @@ class TestOutFile:
         assert out == ""
         obj = loads(target.read_text())
         assert obj["status"] == "converged"
+
+
+class TestParserReuse:
+    def _calls(self, pair_csv, out_path):
+        solve = ["--family", "kaniadakis:0.5", "--pair", pair_csv]
+        return [
+            ["kappa", "--family", "exp", "--bogus"],
+            ["--version"],
+            ["kappa", "--alpha", "0.3", "--tol", "1e-10", *solve],
+            ["kappa", "--alpha", "0.3", *solve],
+            ["kappa", "--alpha", "0.3", "--out", out_path, *solve],
+            ["kappa", "--alpha", "0.3", "--u0", "const:2", *solve],
+            ["sweep", "--alphas", "0.25,0.5", *solve],
+            ["probe", "ratio", "--family", "exp", "--strict"],
+            ["probe", "ratio", "--family", "exp"],
+            ["kappa", "--alpha", "0.3", *solve],
+        ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_match_a_fresh_parser(self, capsys, tmp_path, pair_csv):
+        calls = self._calls(pair_csv, str(tmp_path / "out.json"))
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, argv))
+        reused = [run_cli(capsys, argv) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [64, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert reused[1][1].strip() == cli.__version__
+        assert reused[4][1] == "" and reused[3][1] == reused[9][1] != reused[5][1]
+
+    def test_no_option_leaks_into_the_next_parse(self, pair_csv):
+        cli.build_parser().parse_args(["kappa", "--alpha", "0.3", "--family", "exp", "--pair", pair_csv,
+                                       "--tol", "1e-3", "--u0", "const:2", "--out", "x.json"])
+        args = cli.build_parser().parse_args(["kappa", "--alpha", "0.4", "--family", "exp", "--pair", pair_csv])
+        assert (args.alpha, args.tol, args.u0, args.out) == (0.4, 1e-12, "const:1", None)

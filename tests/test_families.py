@@ -109,6 +109,40 @@ class TestInverse:
         np.testing.assert_allclose(back, u, atol=1e-10, rtol=1e-10)
 
 
+INVERSE_MAPS = ("phi_inv", "phi_inv_deriv")
+
+
+class TestInverseInputChecks:
+    @pytest.mark.parametrize("name", INVERSE_MAPS)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, -math.inf])
+    def test_outside_the_domain_rejected(self, name, bad):
+        for fam in BUILTINS:
+            for v in (bad, np.float64(bad), np.array(bad), np.array([2.0, bad, 3.0]), np.array([bad, math.inf])):
+                with pytest.raises(DomainError, match=r"^phi_inv requires v > 0$"):
+                    getattr(fam, name)(v)
+
+    @pytest.mark.parametrize("fam", [ClassicalExp(), TsallisQ(0.5)], ids=repr)
+    def test_positive_infinity_accepted(self, fam):
+        assert fam.phi_inv(math.inf) == math.inf
+        assert fam.phi_inv_deriv(math.inf) == 0.0
+        np.testing.assert_array_equal(fam.phi_inv(np.array([1.0, math.inf])), [fam.phi_inv(1.0), math.inf])
+
+    @pytest.mark.parametrize("name", INVERSE_MAPS)
+    def test_empty_array_accepted(self, name):
+        for fam in BUILTINS:
+            out = getattr(fam, name)(np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("name", INVERSE_MAPS + ("phi", "log_phi"))
+    def test_scalar_input_returns_float(self, name):
+        for fam in BUILTINS:
+            for v in (2.0, np.float64(2.0), np.array(2.0)):
+                out = getattr(fam, name)(v)
+                assert type(out) is float
+                assert out == getattr(fam, name)(np.array([2.0]))[0]
+            assert isinstance(getattr(fam, name)(np.array([2.0])), np.ndarray)
+
+
 class TestInverseDerivative:
     def test_exp_reciprocal(self):
         assert ClassicalExp().phi_inv_deriv(0.25) == pytest.approx(4.0, abs=1e-14)
@@ -240,6 +274,33 @@ class TestTabulated:
             fam.phi(6.0)
         with pytest.raises(DomainError):
             fam.phi_inv(1e9)
+
+    @pytest.mark.parametrize("u", [-5.5, 5.5, -math.inf, math.inf])
+    def test_out_of_range_rejected_beside_nan(self, u):
+        fam = self._family()
+        for arg in (u, np.array([0.0, u]), np.array([math.nan, u]), np.array([u, math.nan, 1.0])):
+            for name in ("phi", "log_phi"):
+                with pytest.raises(DomainError, match=r"^u outside tabulated range \[-5\.0, 5\.0\]$"):
+                    getattr(fam, name)(arg)
+
+    def test_nan_u_passes_as_nan(self):
+        fam = self._family()
+        assert math.isnan(fam.phi(math.nan))
+        out = fam.phi(np.array([math.nan, 0.0, -5.0, 5.0]))
+        assert math.isnan(out[0])
+        np.testing.assert_allclose(out[1:], [1.0, math.exp(-5.0), math.exp(5.0)], rtol=1e-14)
+        assert fam.phi(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("v", [math.exp(-5.5), math.exp(5.5), math.inf])
+    def test_value_out_of_range_rejected(self, v):
+        fam = self._family()
+        for name in INVERSE_MAPS:
+            for arg in (v, np.array([1.0, v])):
+                with pytest.raises(DomainError, match=r"^v outside tabulated phi range$"):
+                    getattr(fam, name)(arg)
+            with pytest.raises(DomainError, match=r"^phi_inv requires v > 0$"):
+                getattr(fam, name)(np.array([v, math.nan]))
+        assert fam.phi_inv(np.array([])).shape == (0,)
 
     def test_flat_segment_inversion_rejected(self):
         fam = TabulatedMonotone([(0.0, 1.0), (1.0, 2.0), (2.0, 2.0), (3.0, 5.0)])

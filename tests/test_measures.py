@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,21 @@ class TestProbabilityPair:
         with pytest.raises(PairValidationError):
             ProbabilityPair(m, [1.0, 0.0], [0.5, 0.5])  # zero entry
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_entry_named(self, bad):
+        m = Counting(3)
+        for name in ("p", "q"):
+            for index, vals in ((1, [0.5, bad, 0.5]), (0, [bad, 0.5, math.nan]), (2, [0.5, 0.5, bad])):
+                args = (vals, [0.2, 0.3, 0.5]) if name == "p" else ([0.2, 0.3, 0.5], vals)
+                message = f"{name}[{index}] = {bad} is not strictly positive and finite"
+                with pytest.raises(PairValidationError, match=f"^{re.escape(message)}$"):
+                    ProbabilityPair(m, *args)
+
+    def test_empty_measure_fails_normalization(self):
+        empty = QuadGrid([], [])
+        with pytest.raises(PairValidationError, match="^p integrates to 0.0, not 1$"):
+            ProbabilityPair(empty, [], [])
+
     def test_nan_total_rejected(self):
         # a measure that bypasses the constructors' checks: |nan - 1| > tol is false
         class NanWeights:
@@ -205,6 +221,23 @@ class TestPairIO:
         path = tmp_path / "bad.csv"
         path.write_text("atom,p,q\n1,0.5,0.9\n2,0,0.1\n")
         with pytest.raises(PairValidationError, match="row 3"):
+            load_pair(path)
+
+    @pytest.mark.parametrize("cell, problem", [
+        ("nan", "must be finite"), ("inf", "must be finite"), ("-inf", "must be > 0"),
+    ])
+    def test_non_finite_probability_names_row(self, tmp_path, cell, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"atom,p,q\n1,0.5,0.9\n2,0.5,{cell}\n")
+        message = f"{path}: row 3: probabilities {problem} (p=0.5, q={float(cell)})"
+        with pytest.raises(PairValidationError, match=f"^{re.escape(message)}$"):
+            load_pair(path)
+
+    def test_zero_cell_message_wins_over_nan(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("atom,p,q\n1,0.5,0.9\n2,0,nan\n")
+        message = f"{path}: row 3: probabilities must be > 0 (p=0.0, q=nan)"
+        with pytest.raises(PairValidationError, match=f"^{re.escape(message)}$"):
             load_pair(path)
 
     def test_mismatched_columns_is_parse_error(self, tmp_path):

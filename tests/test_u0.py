@@ -101,7 +101,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_bad_u0_rejected(entry, bad):
-    for u0 in (bad, np.float64(bad), np.array(bad), [1.0, bad, 1.0]):
+    for u0 in (bad, np.float64(bad), np.array(bad), [1.0, bad, 1.0], np.array([bad, 1.0, 1.0]), [1.0, 1.0, bad]):
         with pytest.raises(ValueError, match=r"^u0 must be strictly positive and finite$"):
             entry(u0)
 
