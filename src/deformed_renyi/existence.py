@@ -525,6 +525,18 @@ def _boundary_sup(family: DeformedExponential, log_alpha: float, lam_n: float,
     return -math.inf if bracket is None else float(bracket[1])
 
 
+def _sublevel_sup(family: DeformedExponential, log_eps: float) -> float:
+    """sup{u : phi(u) <= eps}: phi_inv(eps) wherever phi rises through eps.
+    Where a tabulated family is flat at eps (two or more knots share log phi
+    = log_eps) the preimage is a whole run, and the sup is its right knot."""
+    log_knots = getattr(family, "log_knots", None)
+    if log_knots is not None:
+        j = int(np.searchsorted(log_knots, log_eps, side="right")) - 1
+        if j >= 1 and log_knots[j - 1] == log_eps:
+            return float(family.u_knots[j])
+    return family.phi_inv(math.exp(log_eps))
+
+
 def construct_u0_sequence(
     family: DeformedExponential,
     alpha: float,
@@ -561,7 +573,7 @@ def construct_u0_sequence(
     log_eps = float(family.log_phi(eta - lam1))
     epsilon = math.exp(log_eps)
 
-    u_eps = family.phi_inv(epsilon)
+    u_eps = _sublevel_sup(family, log_eps)
     # the selection walks forward through the lambdas and usually stops well
     # before the last, so each boundary is computed only when the walk reaches it
     walk = iter(range(lambdas.size))

@@ -40,7 +40,7 @@ def _scalar_like(x, arr):
 def q_logarithm(x, q):
     """Tsallis q-logarithm  ln_q(x) = (x^(1-q) - 1) / (1 - q),  ln_1 = ln."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if x.size and not x.min() > 0:  # a NaN minimum fails too
         raise DomainError("q_logarithm requires x > 0")
     if q == 1.0:
         out = np.log(x)
@@ -322,10 +322,10 @@ class CounterexamplePhi(DeformedExponential):
 
 class TabulatedMonotone(DeformedExponential):
     """Deformed exponential given by knots (u_i, phi_i), interpolated linearly
-    in (u, log phi) space.  Queries outside the knot range raise DomainError;
-    inversion on a flat segment raises DomainError as well.  phi' is phi times
-    the segment's (u, log phi) slope, 0 on a flat segment; at an interior knot
-    it is the left segment's, as for phi_inv_deriv.
+    in (u, log phi) space: one np.interp each for phi and phi_inv, one segment
+    search for phi' and phi_inv_deriv (the left segment at an interior knot;
+    phi' is 0 on a flat one).  Queries outside the knot range raise DomainError,
+    as does inversion at a flat value (a log phi of >= 2 knots, found once).
     """
 
     family_id = "tabulated"
@@ -344,8 +344,11 @@ class TabulatedMonotone(DeformedExponential):
             raise FamilyParameterError("knot phi values must be non-decreasing")
         self.u_knots = us
         self.log_knots = np.log(ps)
-        self.log_slopes = np.diff(self.log_knots) / np.diff(us)  # d log phi / du per segment
-        for arr in (self.u_knots, self.log_knots, self.log_slopes):
+        d_log = np.diff(self.log_knots)
+        self.log_slopes = d_log / np.diff(us)  # d log phi / du per segment
+        self._u_per_log = np.divide(np.diff(us), d_log, out=np.full_like(d_log, np.inf), where=d_log > 0)
+        self._flat_logs = self.log_knots[1:][d_log == 0]
+        for arr in (self.u_knots, self.log_knots, self.log_slopes, self._u_per_log):
             arr.flags.writeable = False
 
     def params(self):
@@ -357,6 +360,11 @@ class TabulatedMonotone(DeformedExponential):
             raise ValueError("tabulated family needs a CSV path: tabulated:<path>")
         return cls.from_csv(arg)
 
+    @staticmethod
+    def _segment_index(knots, x):
+        # s with x in [knots[s], knots[s + 1]]; NaN picks the last segment
+        return np.searchsorted(knots[1:-1], x, side="left")
+
     def _log_phi(self, u):
         # fmin and fmax skip NaN, which passes and gives phi = NaN
         if u.size and (np.fmin.reduce(u, axis=None) < self.u_knots[0]
@@ -366,34 +374,25 @@ class TabulatedMonotone(DeformedExponential):
             )
         return np.asarray(np.interp(u, self.u_knots, self.log_knots))
 
-    def _segment(self, v):
-        """(log v, i) with log v inside the rising knot segment [i - 1, i]."""
+    def _log_v(self, v):
         logv = np.log(v)
         if logv.size and (logv.min() < self.log_knots[0] or logv.max() > self.log_knots[-1]):
             raise DomainError("v outside tabulated phi range")
-        left = np.searchsorted(self.log_knots, logv, side="left")
-        right = np.searchsorted(self.log_knots, logv, side="right")
-        if np.any(right - left >= 2):
-            # value shared by >= 2 knots: the preimage is a flat segment
+        if self._flat_logs.size and np.isin(logv, self._flat_logs).any():
             raise DomainError("phi_inv hit a flat tabulated segment; preimage is ambiguous")
-        return logv, np.clip(left, 1, len(self.log_knots) - 1)
+        return logv
 
     def _phi_inv(self, v):
-        logv, i = self._segment(v)
-        lo, hi = self.log_knots[i - 1], self.log_knots[i]
-        return self.u_knots[i - 1] + (logv - lo) / (hi - lo) * (self.u_knots[i] - self.u_knots[i - 1])
+        return np.asarray(np.interp(self._log_v(v), self.log_knots, self.u_knots))
 
     def _phi_inv_deriv(self, v):
         # phi_inv is linear in log v on each segment: the slope du / dlog phi over v
-        _, i = self._segment(v)
-        return (self.u_knots[i] - self.u_knots[i - 1]) / (self.log_knots[i] - self.log_knots[i - 1]) / v
+        return self._u_per_log[self._segment_index(self.log_knots, self._log_v(v))] / v
 
     def _phi_prime(self, u, values):
-        # segment index from the interior knots; an interior knot closes the
-        # segment on its left, and NaN u picks the last one (NaN values stay NaN)
-        segment = np.searchsorted(self.u_knots[1:-1], u, side="left")
+        slopes = self.log_slopes[self._segment_index(self.u_knots, u)]  # NaN values stay NaN
         with np.errstate(over="ignore"):  # a phi' beyond the float range is +inf
-            return np.multiply(values, self.log_slopes[segment], out=np.empty_like(values))
+            return np.multiply(values, slopes, out=np.empty_like(values))
 
     @classmethod
     def from_csv(cls, path):

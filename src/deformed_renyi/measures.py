@@ -275,11 +275,14 @@ def read_float_csv(path) -> tuple[list[str], list[list[float]], list[int]]:
 
 def load_pair(path) -> ProbabilityPair:
     """Load a pair saved by save_pair (JSON when the path ends in .json, else
-    CSV); validation errors carry row numbers."""
+    CSV); validation errors name the file, and on a CSV also the row."""
     path = Path(path)
     if path.suffix == ".json":
         obj = json.loads(path.read_text())
-        return ProbabilityPair(measure_from_json(obj["measure"]), obj["p"], obj["q"])
+        try:
+            return ProbabilityPair(measure_from_json(obj["measure"]), obj["p"], obj["q"])
+        except MeasureError as exc:  # PairValidationError included, and kept
+            raise type(exc)(f"{path}: {exc}") from exc
     header, rows, linenos = read_float_csv(path)
     if header == ["atom", "p", "q"]:
         measure = Counting(len(rows))

@@ -272,6 +272,19 @@ class TestConstructU0Command:
         validate("construct_u0", obj)
         assert obj["certificate_ok"] is True
 
+    def test_tabulated_flat_bottom_run(self, capsys, tmp_path):
+        # phi = max(e^u, e^5): eps = e^5 has the whole run [-10, 5] as preimage
+        knots = tmp_path / "flat_bottom.csv"
+        knots.write_text("u,phi\n" + "".join(f"{u},{math.exp(max(u, 5.0))!r}\n" for u in (-10.0, 5.0, 10.0, 40.0)))
+        code, out, err = run_cli(capsys, [
+            "construct-u0", "--family", f"tabulated:{knots}", "--alpha", "0.5",
+        ])
+        assert (code, err) == (0, "")
+        obj = loads(out)
+        validate("construct_u0", obj)
+        assert obj["certificate_ok"] is True
+        assert obj["epsilon"] == math.exp(5.0)
+
     def test_constructed_u0_feeds_kappa(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, [
             "construct-u0", "--family", "exp", "--alpha", "0.3", "--terms", "16",

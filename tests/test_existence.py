@@ -257,11 +257,15 @@ class TestU0Construction:
         ("tsallis:0.5", np.linspace(-1.9, 40.0, 200)),
         # at alpha = 0.5, (-0.9 + lambda_1) - lambda_1 rounds to below -0.9
         ("exp", np.linspace(-0.9, 10.1, 111)),
-    ], ids=["exp-161", "exp-41", "tsallis-0.5", "exp-rounded-edge"])
+        # phi = max(e^u, e^5): eps = e^5 is the flat bottom run, whose
+        # preimage is all of [-10, 5]
+        (None, np.array([-10.0, 5.0, 10.0, 40.0])),
+    ], ids=["exp-161", "exp-41", "tsallis-0.5", "exp-rounded-edge", "flat-bottom"])
     def test_tabulated_certificate_and_soundness(self, spec, u_knots, alpha):
         """On a tabulated family the construction stays on the knot range and
         its boundaries are sound wherever the inequality can be sampled."""
-        fam = TabulatedMonotone(list(zip(u_knots, np.asarray(parse_family_spec(spec).phi(u_knots)))))
+        phi = np.exp(np.maximum(u_knots, 5.0)) if spec is None else parse_family_spec(spec).phi(u_knots)
+        fam = TabulatedMonotone(list(zip(u_knots, np.asarray(phi))))
         con = construct_u0_sequence(fam, alpha=alpha)
         assert con.certificate_ok
         log_alpha = math.log(alpha)

@@ -257,6 +257,26 @@ class TestValidation:
             validate_family(ClassicalExp(), [0.0, 1.0, bad])
 
 
+def _table(family, u_knots):
+    return TabulatedMonotone(list(zip(u_knots, np.asarray(family.phi(u_knots)))))
+
+
+TABLES = {
+    "exp-161": _table(ClassicalExp(), np.linspace(-40.0, 40.0, 161)),
+    "kaniadakis-421": _table(KaniadakisKappa(0.5), np.linspace(-60.0, 60.0, 421)),
+}
+
+
+def _segment_formula(fam, v):
+    """phi_inv and phi_inv_deriv by the explicit formula on the rising knot
+    segment [i - 1, i] that holds log v, the left one at an interior knot."""
+    logv = np.log(v)
+    i = np.clip(np.searchsorted(fam.log_knots, logv, side="left"), 1, fam.log_knots.size - 1)
+    lo, hi = fam.log_knots[i - 1], fam.log_knots[i]
+    du = fam.u_knots[i] - fam.u_knots[i - 1]
+    return fam.u_knots[i - 1] + (logv - lo) / (hi - lo) * du, du / (hi - lo) / v
+
+
 class TestTabulated:
     def _family(self):
         u = np.linspace(-5.0, 5.0, 41)
@@ -309,6 +329,38 @@ class TestTabulated:
         # strictly above the flat value the preimage is unique again
         assert fam.phi_inv(2.0001) > 2.0
 
+    @pytest.mark.parametrize("run", [2, 3])
+    def test_flat_run_rejected_only_at_its_value(self, run):
+        # phi = 2 on the knots u = 1, ..., run
+        fam = TabulatedMonotone([(0.0, 1.0)] + [(float(k), 2.0) for k in range(1, run + 1)] + [(run + 1.0, 5.0)])
+        for name in INVERSE_MAPS:
+            for arg in (2.0, np.array([1.5, 2.0, 3.0])):
+                with pytest.raises(DomainError, match=r"^phi_inv hit a flat tabulated segment; preimage is ambiguous$"):
+                    getattr(fam, name)(arg)
+            # the range check comes first
+            with pytest.raises(DomainError, match=r"^v outside tabulated phi range$"):
+                getattr(fam, name)(np.array([2.0, 6.0]))
+        below, above = np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)
+        assert np.log(below) < math.log(2.0) < np.log(above)
+        # one ulp off the flat value the preimage is a unique point beside the run
+        np.testing.assert_allclose(fam.phi_inv(np.array([below, above])), [1.0, run], rtol=1e-15)
+        np.testing.assert_allclose(fam.phi_inv_deriv(np.array([below, above])),
+                                   [1.0 / math.log(2.0) / 2.0, 1.0 / math.log(2.5) / 2.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_inverse_maps_match_segment_formula(self, name):
+        fam = TABLES[name]
+        logs = np.random.default_rng(3).uniform(fam.log_knots[0], fam.log_knots[-1], 20000)
+        v = np.exp(np.concatenate([logs, fam.log_knots, 0.5 * (fam.log_knots[:-1] + fam.log_knots[1:])]))
+        u_ref, deriv_ref = _segment_formula(fam, v)
+        np.testing.assert_array_equal(fam.phi_inv_deriv(v), deriv_ref)
+        got = np.asarray(fam.phi_inv(v))
+        if name == "exp-161":
+            np.testing.assert_array_equal(got, u_ref)
+        else:  # one interpolation may round differently from the segment formula
+            ulp = np.spacing(np.maximum(np.abs(u_ref), fam.u_knots[1] - fam.u_knots[0]))
+            assert np.all(np.abs(got - u_ref) <= 2.0 * ulp)
+
     def test_knot_ordering_enforced(self):
         with pytest.raises(FamilyParameterError):
             TabulatedMonotone([(0.0, 1.0), (0.0, 2.0)])
@@ -359,6 +411,14 @@ class TestSerialization:
         for spec in ("exp:3", "counterexample:1"):
             with pytest.raises(ValueError, match="takes no argument"):
                 parse_family_spec(spec)
+
+
+@pytest.mark.parametrize("x", [math.nan, [1.0, math.nan], 0.0, [2.0, -1.0]])
+def test_q_logarithm_rejects_nan_and_non_positive(x):
+    for q in (1.0, 0.5):
+        with pytest.raises(DomainError, match=r"^q_logarithm requires x > 0$"):
+            q_logarithm(x, q)
+    assert q_logarithm(np.array([]), 0.5).shape == (0,)
 
 
 def test_q_logarithm_limit():

@@ -13,6 +13,7 @@ from deformed_renyi.families import (
     LOG_PHI_MAX,
     ClassicalExp,
     DomainError,
+    KaniadakisKappa,
     TabulatedMonotone,
     parse_family_spec,
 )
@@ -260,12 +261,21 @@ class TestPhiPrime:
         with pytest.raises(DomainError):
             family.phi_inv_deriv(2.0)  # the inverse side cannot differentiate a flat value
 
+    @staticmethod
+    def _assert_phi_times_left_segment_slope(family, u):
+        values = np.asarray(family.phi(u))
+        knots = family.u_knots
+        segment = np.clip(np.searchsorted(knots, u, side="left"), 1, knots.size - 1) - 1
+        np.testing.assert_array_equal(family._phi_prime(u, values), values * family.log_slopes[segment])
+
     def test_tabulated_exp_knots_and_midpoints(self):
-        u = _prime_grid(TABULATED_EXP)
-        values = np.asarray(TABULATED_EXP.phi(u))
-        segment = np.clip(np.searchsorted(EXP_KNOTS, u, side="left"), 1, EXP_KNOTS.size - 1) - 1
-        np.testing.assert_array_equal(TABULATED_EXP._phi_prime(u, values),
-                                      values * TABULATED_EXP.log_slopes[segment])
+        self._assert_phi_times_left_segment_slope(TABULATED_EXP, _prime_grid(TABULATED_EXP))
+
+    def test_tabulated_kaniadakis_knots_midpoints_and_nan(self):
+        knots = np.linspace(-60.0, 60.0, 421)
+        family = TabulatedMonotone(list(zip(knots, np.asarray(KaniadakisKappa(0.5).phi(knots)))))
+        u = np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:]), [np.nan]])
+        self._assert_phi_times_left_segment_slope(family, u)
 
 
 class TestIntegrateInfRule:

@@ -217,6 +217,13 @@ class TestPairIO:
         assert loaded.measure.piece_ids == ("a", "b")
         np.testing.assert_array_equal(loaded.p, pair.p)
 
+    def test_json_validation_error_names_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"measure": {"kind": "counting", "n_atoms": 2}, "p": [0.5, NaN], "q": [0.5, 0.5]}')
+        message = f"{path}: p[1] = nan is not strictly positive and finite"
+        with pytest.raises(PairValidationError, match=f"^{re.escape(message)}$"):
+            load_pair(path)
+
     def test_zero_probability_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("atom,p,q\n1,0.5,0.9\n2,0,0.1\n")
