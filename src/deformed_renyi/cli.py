@@ -3,7 +3,10 @@
 Subcommands: divergence, kappa, sweep, probe (ratio|inequality|envelope),
 construct-u0, demo-counterexample, validate-phi, oracle.  JSON outputs are
 deterministic (sorted keys, stable float repr) and validate against the
-schema files shipped in deformed_renyi/schemas/.
+schema files shipped in deformed_renyi/schemas/.  JSON is strict: a
+non-finite float (an infinite kappa, an unbounded ratio, an overflowing term)
+is written as the string "inf", "-inf" or "nan", never as a bare Infinity or
+NaN.
 
 Every subcommand takes --out (write to a file instead of stdout); divergence,
 kappa and sweep also take --tol (solver tolerance on the normalization

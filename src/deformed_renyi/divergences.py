@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import DeformedExponential, q_logarithm
-from .jsonutil import jsonable_float
+from .jsonutil import jsonable
 from .kappa import (
     KappaSolveResult,
     SolveStatus,
@@ -39,14 +39,9 @@ class DivergenceReport:
     solver: KappaSolveResult | None = None
 
     def to_json(self):
-        return {
-            "alpha": self.alpha,
-            "kappa": jsonable_float(self.kappa),
-            "value": jsonable_float(self.value),
-            "family": self.family,
-            "u0": self.u0,
-            "status": self.status.value,
-        }
+        obj = jsonable(self)
+        del obj["solver"]
+        return obj
 
 
 def generalized_renyi(

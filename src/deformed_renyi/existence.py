@@ -20,12 +20,12 @@ honest fallback when a limsup cannot be called either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .families import LOG_PHI_MAX, PHI_MAX, CounterexamplePhi, DeformedExponential, KaniadakisKappa
-from .jsonutil import jsonable_float, jsonable_floats
+from .jsonutil import jsonable
 from .kappa import normalization_functional
 from .measures import ProbabilityPair, SimpleNonAtomic
 
@@ -85,10 +85,11 @@ def _shifted_range(family: DeformedExponential, shift: float) -> tuple[float, fl
 
 
 def _phi_or_zero(family: DeformedExponential, u) -> np.ndarray:
-    """phi(u) where u is finite, 0 where it is not (an absent boundary adds nothing)."""
+    """phi(u), with 0 at u = -inf (an absent boundary adds nothing); phi(+inf)
+    is inf, and a NaN u gives a NaN phi."""
     u = np.asarray(u, dtype=float)
     finite = np.isfinite(u)
-    out = np.zeros(u.shape)
+    out = np.where(u == -np.inf, 0.0, u)
     out[finite] = family.phi(u[finite])
     return out
 
@@ -176,20 +177,8 @@ class ConditionProbeReport:
 
     def to_json(self):
         stride = max(1, len(self.u_samples) // 64)
-        return {
-            "lambda0": self.lambda0,
-            "verdict": self.verdict,
-            "sup_estimate": jsonable_float(self.sup_estimate),
-            "bound_K": None if self.bound_K is None else jsonable_float(self.bound_K),
-            "bound_c": None if self.bound_c is None else jsonable_float(self.bound_c),
-            "alpha_used": self.alpha_used,
-            "threshold": self.threshold,
-            "stabilized": self.stabilized,
-            "u_max": self.u_max,
-            "n_samples": int(len(self.u_samples)),
-            "u_samples": jsonable_floats(self.u_samples[::stride]),
-            "ratio_samples": jsonable_floats(self.ratio_samples[::stride]),
-        }
+        samples = replace(self, u_samples=self.u_samples[::stride], ratio_samples=self.ratio_samples[::stride])
+        return {**jsonable(samples), "n_samples": len(self.u_samples)}
 
 
 def _probe_grid(family: DeformedExponential, lambda0: float, u_max: float) -> np.ndarray:
@@ -287,14 +276,7 @@ class InequalityProbeResult:
     grid_max: float
 
     def to_json(self):
-        return {
-            "alpha": self.alpha,
-            "u0_value": self.u0_value,
-            "c_found": jsonable_float(self.c_found),
-            "holds": self.holds,
-            "n_violations": self.n_violations,
-            "grid_max": self.grid_max,
-        }
+        return jsonable(self)
 
 
 def pointwise_inequality_probe(
@@ -309,6 +291,8 @@ def pointwise_inequality_probe(
     u = np.asarray(u_grid, dtype=float)
     if u.size == 0:
         raise ValueError("u_grid is empty: nothing to check")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u_grid must be finite")
     viol = _log_exceeds(math.log(alpha) + np.asarray(family.log_phi(u)),
                         np.asarray(family.log_phi(u - u0_value)))
     n_viol = int(np.count_nonzero(viol))
@@ -390,15 +374,9 @@ class EnvelopeCheck:
     counterexamples: np.ndarray
 
     def to_json(self):
-        return {
-            "K": self.K,
-            "lambda0": self.lambda0,
-            "c": jsonable_float(self.c),
-            "lambda": self.lam,
-            "holds": self.holds,
-            "n_checked": self.n_checked,
-            "counterexamples": [jsonable_floats(row) for row in self.counterexamples[:32]],
-        }
+        obj = jsonable(replace(self, counterexamples=self.counterexamples[:32]))
+        obj["lambda"] = obj.pop("lam")
+        return obj
 
 
 # (u, v) elements per envelope block: each temporary stays near 256 KiB
@@ -415,8 +393,12 @@ def growth_envelope_check(
         raise ValueError("need 1 <= K < inf and 0 < lambda0 < inf")
     lam = math.log(K) / lambda0
     u = np.asarray(u_grid, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u_grid must be finite")
     u = u[u >= c]
     v = np.asarray(v_grid, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v_grid must be finite")
     if np.any(v < 0):
         raise ValueError("v_grid must be non-negative")
     if u.size == 0 or v.size == 0:
@@ -470,19 +452,7 @@ class U0Construction:
         return self.partial_sum_phi_c + self.tail_bound <= self.summability_target
 
     def to_json(self):
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "eta": self.eta,
-            "epsilon": self.epsilon,
-            "u0_sequence": jsonable_floats(self.u0_sequence),
-            "c_sequence": jsonable_floats(self.c_sequence),
-            "lambda_indices": list(self.lambda_indices),
-            "partial_sum_phi_c": self.partial_sum_phi_c,
-            "tail_bound": self.tail_bound,
-            "summability_target": self.summability_target,
-            "certificate_ok": self.certificate_ok,
-        }
+        return {**jsonable(self), "certificate_ok": self.certificate_ok}
 
 
 def default_lambda_sequence(alpha: float) -> np.ndarray:
@@ -631,7 +601,8 @@ def shifted_sum_check(family: DeformedExponential, u0_sequence, c_values, lam: f
     last_quarter = terms[-max(2, terms.size // 4):]
     pos = last_quarter[last_quarter > 0]
     if pos.size >= 2:
-        ratio = float(np.max(pos[1:] / pos[:-1]))
+        with np.errstate(invalid="ignore"):  # inf / inf where phi saturates
+            ratio = float(np.max(pos[1:] / pos[:-1]))
     else:
         ratio = 0.0
     finite = bool(np.all(np.isfinite(terms)) and ratio < 0.95)
@@ -682,19 +653,16 @@ class AdversarialDemo:
             }
 
     def to_json(self):
-        return {
+        return jsonable({
             "lambda": self.lam,
             "n_pieces": self.n_pieces,
             "spacing": self.spacing,
             "certifies_lambda_at_least": self.lam,
-            "first_column_final": float(self.cumsum_phi_c[-1]),
-            "first_column_gap": float(self.gap_phi_c[-1]),
-            "second_column_final": jsonable_float(self.cumsum_shifted[-1]),
-            "rows": [
-                {k: jsonable_float(v) if isinstance(v, float) else v for k, v in row.items()}
-                for row in self.rows()
-            ],
-        }
+            "first_column_final": self.cumsum_phi_c[-1],
+            "first_column_gap": self.gap_phi_c[-1],
+            "second_column_final": self.cumsum_shifted[-1],
+            "rows": list(self.rows()),
+        })
 
 
 def adversarial_nonexistence_demo(lam: float, n_pieces: int = 60, build_pair: bool = True) -> AdversarialDemo:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonutil import jsonable
 from .measures import read_float_csv
 
 # Saturation ceiling for phi in linear space: phi is +inf wherever
@@ -419,17 +420,7 @@ class ValidationReport:
         return not self.convexity_violations and not self.monotonicity_violations
 
     def to_json(self) -> dict:
-        from .jsonutil import jsonable_float, jsonable_floats
-
-        return {
-            "family": self.family,
-            "passed": self.passed,
-            "n_points": self.n_points,
-            "convexity_violations": [jsonable_floats(v) for v in self.convexity_violations],
-            "monotonicity_violations": [jsonable_floats(v) for v in self.monotonicity_violations],
-            "tail_low_value": jsonable_float(self.tail_low_value),
-            "tail_high_value": jsonable_float(self.tail_high_value),
-        }
+        return {**jsonable(self), "passed": self.passed}
 
 
 def validate_family(family: DeformedExponential, u_grid) -> ValidationReport:

@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .families import DeformedExponential
-from .jsonutil import jsonable_float
+from .jsonutil import jsonable
 from .measures import MeasureModel, ProbabilityPair, integrate, positive_finite
 
 KAPPA_MAX = 1e6  # a solve with N(KAPPA_MAX) < 1 reports BRACKET_FAILURE
@@ -68,15 +68,7 @@ class KappaSolveResult:
     last_finite: tuple | None = None  # (kappa, N(kappa)) at the last finite probe below a jump
 
     def to_json(self):
-        return {
-            "alpha": self.alpha,
-            "kappa": jsonable_float(self.kappa),
-            "residual": jsonable_float(self.residual),
-            "bracket": [jsonable_float(self.bracket[0]), jsonable_float(self.bracket[1])],
-            "iterations": self.iterations,
-            "status": self.status.value,
-            "last_finite": [jsonable_float(x) for x in self.last_finite] if self.last_finite else None,
-        }
+        return jsonable(self)
 
 
 def _resolve_u0(u0, measure: MeasureModel):

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsonutil import jsonable
+
 
 class MeasureError(ValueError):
     """Invalid measure or density data."""
@@ -93,7 +95,7 @@ class QuadGrid:
         return self._weights
 
     def to_json(self):
-        return {"kind": self.kind, "nodes": _float_list(self.nodes), "weights": _float_list(self._weights)}
+        return {"kind": self.kind, "nodes": jsonable(self.nodes), "weights": jsonable(self._weights)}
 
     def __repr__(self):
         return f"QuadGrid(n={self.size}, range=[{self.nodes[0]}, {self.nodes[-1]}])"
@@ -214,10 +216,6 @@ class ProbabilityPair:
         return f"ProbabilityPair({self.measure!r})"
 
 
-def _float_list(arr):
-    return [float(x) for x in arr]
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -229,8 +227,8 @@ def save_pair(pair: ProbabilityPair, path) -> None:
     if path.suffix == ".json":
         obj = {
             "measure": pair.measure.to_json(),
-            "p": _float_list(pair.p),
-            "q": _float_list(pair.q),
+            "p": jsonable(pair.p),
+            "q": jsonable(pair.q),
         }
         path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         return

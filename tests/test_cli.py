@@ -352,6 +352,16 @@ class TestDemoCommand:
         validate("demo_counterexample", obj)
         assert obj["certifies_lambda_at_least"] == 1.0
 
+        # at lam = 50 the shifted terms overflow: they must reach JSON as "inf"
+        code, out, _ = run_cli(capsys, [
+            "demo-counterexample", "--lam", "50", "--pieces", "15", "--output", "json",
+        ])
+        assert code == 0
+        obj = loads(out)
+        validate("demo_counterexample", obj)
+        assert obj["second_column_final"] == "inf"
+        assert all(row["term_shifted"] == "inf" for row in obj["rows"])
+
 
 class TestValidatePhiCommand:
     def test_clean_family(self, capsys):
@@ -400,8 +410,22 @@ class TestExitCodes:
         ])
         assert code == 3
         obj = loads(out)
+        validate("divergence", obj)
         assert obj["status"] == "divergent_integral"
         assert obj["value"] == "inf"
+
+        code, out, _ = run_cli(capsys, [
+            "kappa", "--family", "counterexample", "--pair", str(path), "--alpha", "0.5",
+        ])
+        assert code == 3
+        obj = loads(out)
+        validate("kappa", obj)
+        assert obj["status"] == "divergent_integral"
+        assert obj["kappa"] == "inf"
+        lo, hi = obj["bracket"]  # the jump of N to +inf, just above 0.05
+        assert lo == pytest.approx(0.05, rel=1e-9) and lo <= hi
+        kappa_last, n_last = obj["last_finite"]
+        assert kappa_last == lo and 0.0 < n_last < 1.0
 
     def test_validation_error_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

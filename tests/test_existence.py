@@ -144,6 +144,13 @@ class TestInequalityProbe:
         with pytest.raises(ValueError, match="^u0_value must be positive and finite$"):
             pointwise_inequality_probe(CounterexamplePhi(), 0.5, bad, np.linspace(-50, 200, 11))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_point_rejected(self, bad):
+        # an inf grid point used to make grid_max inf, so the counterexample "held"
+        grid = np.append(np.linspace(-50, 200, 11), bad)
+        with pytest.raises(ValueError, match="^u_grid must be finite$"):
+            pointwise_inequality_probe(CounterexamplePhi(), 0.5, 1.0, grid)
+
 
 class TestKaniadakisCertificate:
     def test_minimizer_quarter_alpha(self):
@@ -217,6 +224,15 @@ class TestGrowthEnvelope:
         with pytest.raises(ValueError, match="need 1 <= K < inf and 0 < lambda0 < inf"):
             growth_envelope_check(CounterexamplePhi(), K, lambda0, -math.inf,
                                   np.linspace(0, 120, 11), np.linspace(0, 20, 5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_points_rejected(self, bad):
+        # a NaN or inf v used to make the counterexample's envelope hold
+        u, v = np.linspace(0, 120, 11), np.linspace(0, 20, 5)
+        with pytest.raises(ValueError, match="^v_grid must be finite$"):
+            growth_envelope_check(CounterexamplePhi(), math.e, 1.0, -math.inf, u, [bad])
+        with pytest.raises(ValueError, match="^u_grid must be finite$"):
+            growth_envelope_check(CounterexamplePhi(), math.e, 1.0, -math.inf, np.append(u, bad), v)
 
 
 ALL_BUILTINS = BOUNDED_FAMILIES + ["counterexample"]
@@ -337,6 +353,24 @@ class TestU0Construction:
             report = shifted_sum_check(fam, con.u0_sequence, c_vals, lam)
             assert report.finite
             assert math.isfinite(report.tail_bound)
+
+    def test_absent_boundaries_add_nothing(self):
+        u0 = [1.0, 0.5, 0.25]
+        report = shifted_sum_check(ClassicalExp(), u0, [-math.inf, 1.0, 2.0], 1.0)
+        assert report.terms[0] == 0.0
+        assert report.partial_sum == pytest.approx(math.exp(1.5) + math.exp(2.25))
+
+    @pytest.mark.parametrize("c_values, lam, terms", [
+        ([0.0, 1.0, 2.0], math.inf, [math.inf] * 3),
+        ([0.0, math.nan, 2.0], 1.0, [math.e, math.nan, math.exp(2.25)]),
+        ([0.0, 1.0, math.nan], 1.0, [math.e, math.exp(1.5), math.nan]),
+    ])
+    def test_non_finite_shifts_are_not_summable(self, c_values, lam, terms):
+        # an infinite or NaN shifted point used to count as phi = 0 and report finite
+        report = shifted_sum_check(ClassicalExp(), [1.0, 0.5, 0.25], c_values, lam)
+        np.testing.assert_allclose(report.terms, terms, rtol=1e-15)
+        assert not report.finite
+        assert not math.isfinite(report.partial_sum)
 
 
 class TestAdversarialDemo:
