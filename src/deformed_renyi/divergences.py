@@ -56,8 +56,7 @@ def generalized_renyi(
     The report's u0 label is "const:<x>" for a scalar u0 and "seq[<n>]" for a
     per-atom one.
     """
-    result = solve_kappa(family, pair, alpha, u0=u0, tol=tol)
-    return _report(family, result, _u0_label(u0))
+    return sweep(family, pair, [alpha], u0=u0, tol=tol)[0]
 
 
 def sweep(
@@ -72,15 +71,16 @@ def sweep(
     converged alpha's divergence value, kappa = D_i alpha (1 - alpha) (from
     kappa = 0 after one that did not converge).  Every report meets the same
     tolerance as a single solve; a non-converged alpha does not stop the sweep.
+    generalized_renyi is a one-alpha sweep, which overwrites its inverse images.
     """
+    results = _sweep_kappa(family, pair, alphas, u0, tol)
     label = _u0_label(u0)
-    return [_report(family, result, label) for result in _sweep_kappa(family, pair, alphas, u0, tol)]
-
-
-def _report(family: DeformedExponential, result: KappaSolveResult, u0_label: str) -> DivergenceReport:
-    alpha = result.alpha
-    value = result.kappa / (alpha * (1.0 - alpha)) if math.isfinite(result.kappa) else math.inf
-    return DivergenceReport(alpha, result.kappa, value, family.family_id, u0_label, result.status, result)
+    reports = []
+    for result in results:
+        alpha, kappa = result.alpha, result.kappa
+        value = kappa / (alpha * (1.0 - alpha)) if math.isfinite(kappa) else math.inf
+        reports.append(DivergenceReport(alpha, kappa, value, family.family_id, label, result.status, result))
+    return reports
 
 
 def _u0_label(u0) -> str:

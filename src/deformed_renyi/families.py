@@ -287,7 +287,8 @@ class CounterexamplePhi(DeformedExponential):
 
     def _log_phi(self, u):
         out = np.add(u, 1.0, out=np.empty_like(u))
-        np.square(out, out=out)
+        with np.errstate(over="ignore"):  # log phi = +inf for |u| > ~1.3e154; u < 0 is overwritten
+            np.square(out, out=out)
         np.multiply(out, 0.5, out=out)
         np.add(u, 0.5, out=out, where=~(u >= 0.0))
         return out
@@ -337,6 +338,10 @@ class TabulatedMonotone(DeformedExponential):
             raise FamilyParameterError("tabulated family needs at least 2 knots")
         us = np.array([k[0] for k in knots])
         ps = np.array([k[1] for k in knots])
+        if not np.all(np.isfinite(us)):
+            raise FamilyParameterError("knot u values must be finite")
+        if not np.all(np.isfinite(ps)):
+            raise FamilyParameterError("knot phi values must be finite")
         if np.any(np.diff(us) <= 0):
             raise FamilyParameterError("knot u values must be strictly increasing")
         if np.any(ps <= 0):

@@ -26,8 +26,10 @@ w = base + kappa u0 is one add into the solve's work buffer, and
 N'(kappa) = u0 integral phi'(w) dmu, so no n-length copy of u0 is built.  A
 per-atom u0 array is validated and multiplied in as it is.
 
-A sweep over several alphas computes phi^-1(p) and phi^-1(q) once and starts
-each solve from the previous converged alpha's divergence value
+A single solve is a one-alpha sweep.  A sweep computes phi^-1(p) and
+phi^-1(q) once, with one work buffer for all its solves (a single alpha
+overwrites phi^-1(p) and phi^-1(q) with the base and the work buffer), and
+starts each solve from the previous converged alpha's divergence value
 D_i = kappa_i / (alpha_i (1 - alpha_i)), that is from
 kappa = D_i alpha_{i+1} (1 - alpha_{i+1}).  D has finite limits at both
 endpoints (the phi-divergences), so kappa vanishes at alpha = 0 and 1 and D
@@ -136,15 +138,14 @@ def normalization_functional(
     return integrate(pair.measure, _integrand(family, base, u0, kappa, np.empty_like(base)))
 
 
-def _solve(family, measure, alpha, base, u0, tol, guess):
+def _solve(family, measure, alpha, base, u0, tol, guess, work):
     """Solve N(kappa) = 1 from kappa = guess, or from 0 (a cold start) when
     guess is not inside (0, KAPPA_MAX).
 
     A warm start leaves N(0) unevaluated: lo = 0 is then a bound by convexity
     alone, and it is evaluated, with the cold-start checks, before the first
-    fallback step.
+    fallback step.  w = base + kappa u0 is formed in work, which is overwritten.
     """
-    work = np.empty_like(base)
     evals = 0
     lo, n_lo = 0.0, None           # n_lo is None until N(0) is evaluated
     hi, n_hi = math.inf, None      # n_hi is None until some N >= 1 is seen
@@ -216,14 +217,6 @@ def _solve(family, measure, alpha, base, u0, tol, guess):
     )
 
 
-def _check_solve_inputs(alphas, tol) -> None:
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}; endpoints are defined only as limits")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-
-
 def solve_kappa(
     family: DeformedExponential,
     pair: ProbabilityPair,
@@ -233,7 +226,8 @@ def solve_kappa(
 ) -> KappaSolveResult:
     """Solve N(kappa) = 1 for kappa >= 0 by safeguarded Newton iteration on
     log N from kappa = 0, with geometric bracket expansion from [0, 1] and
-    bisection as the fallbacks (see the module docstring).
+    bisection as the fallbacks (see the module docstring): a one-alpha sweep,
+    which overwrites phi^-1(p) and phi^-1(q) in place.
 
     Returns CONVERGED with |N(kappa) - 1| <= tol, DIVERGENT_INTEGRAL when N
     jumps from below 1 to +inf (no root exists), or BRACKET_FAILURE when
@@ -242,28 +236,30 @@ def solve_kappa(
     ArithmeticError when N evaluates to NaN, and ValueError unless
     0 < tol < inf.
     """
-    _check_solve_inputs([alpha], tol)
-    u0 = _resolve_u0(u0, pair.measure)
-    base = interpolation_base(family, pair, alpha)
-    return _solve(family, pair.measure, alpha, base, u0, tol, 0.0)
+    return _sweep_kappa(family, pair, [alpha], u0, tol)[0]
 
 
 def _sweep_kappa(family, pair, alphas, u0, tol):
-    """solve_kappa at each alpha, in order.  phi^-1(p) and phi^-1(q) are
-    computed once; each alpha after a converged one starts from the previous
-    divergence value, each other alpha from kappa = 0."""
+    """solve_kappa at each alpha, in order, with phi^-1(p) and phi^-1(q)
+    computed once and one work buffer; each alpha after a converged one starts
+    from the previous divergence value, each other alpha from kappa = 0.  A
+    single alpha overwrites phi^-1(p) and phi^-1(q), which nothing reads again."""
     alphas = [float(a) for a in alphas]
-    _check_solve_inputs(alphas, tol)
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}; endpoints are defined only as limits")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     u0 = _resolve_u0(u0, pair.measure)
     inv_p = family.phi_inv(pair.p)
     inv_q = family.phi_inv(pair.q)
-    base, scratch = np.empty_like(inv_p), np.empty_like(inv_p)
+    base, work = (inv_p, inv_q) if len(alphas) == 1 else (np.empty_like(inv_p), np.empty_like(inv_p))
     results = []
     divergence = 0.0
     for alpha in alphas:
         scale = alpha * (1.0 - alpha)  # kappa = D alpha (1 - alpha)
-        _interpolate(inv_p, inv_q, alpha, out=base, rest=scratch)
-        result = _solve(family, pair.measure, alpha, base, u0, tol, divergence * scale)
+        _interpolate(inv_p, inv_q, alpha, out=base, rest=work)
+        result = _solve(family, pair.measure, alpha, base, u0, tol, divergence * scale, work)
         results.append(result)
         divergence = result.kappa / scale if result.status is SolveStatus.CONVERGED else 0.0
     return results

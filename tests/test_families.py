@@ -25,6 +25,7 @@ BUILTINS = [
     KaniadakisKappa(0.5),
     KaniadakisKappa(-0.5),
     KaniadakisKappa(1.0),
+    KaniadakisKappa(0.0),
     CounterexamplePhi(),
 ]
 
@@ -51,6 +52,20 @@ class TestEvaluation:
         fd_left = (fam.phi(0.0) - fam.phi(-h)) / h
         fd_right = (fam.phi(h) - fam.phi(0.0)) / h
         assert fd_right == pytest.approx(fd_left, rel=1e-6)
+
+    def test_counterexample_log_phi_at_huge_u(self):
+        # (u + 1)^2 overflows to +inf for u = 1e200; the u < 0 branch is linear
+        np.testing.assert_array_equal(CounterexamplePhi().log_phi(np.array([1e200, -1e200])), [math.inf, -1e200])
+
+    def test_kaniadakis_zero_is_exp(self):
+        k0, exp = KaniadakisKappa(0.0), ClassicalExp()
+        u = np.linspace(-30.0, 30.0, 121)
+        v = np.asarray(exp.phi(u))
+        for name in ("log_phi", "phi"):
+            np.testing.assert_array_equal(getattr(k0, name)(u), getattr(exp, name)(u))
+        for name in ("phi_inv", "phi_inv_deriv"):
+            np.testing.assert_array_equal(getattr(k0, name)(v), getattr(exp, name)(v))
+        np.testing.assert_array_equal(k0._phi_prime(u, v), exp._phi_prime(u, v))
 
     def test_kaniadakis_unit_param_at_zero(self):
         assert KaniadakisKappa(1.0).phi(0.0) == 1.0
@@ -366,6 +381,15 @@ class TestTabulated:
             TabulatedMonotone([(0.0, 1.0), (0.0, 2.0)])
         with pytest.raises(FamilyParameterError):
             TabulatedMonotone([(0.0, 2.0), (1.0, 1.0)])
+        # NaN fails every comparison and inf makes the maps inconsistent
+        for knots, message in [
+            ([(0.0, 1.0), (math.nan, 2.0), (2.0, 3.0)], "knot u values must be finite"),
+            ([(0.0, 1.0), (1.0, 2.0), (math.inf, 3.0)], "knot u values must be finite"),
+            ([(0.0, 1.0), (1.0, math.nan), (2.0, 3.0)], "knot phi values must be finite"),
+            ([(0.0, 1.0), (1.0, 2.0), (2.0, math.inf)], "knot phi values must be finite"),
+        ]:
+            with pytest.raises(FamilyParameterError, match=f"^{message}$"):
+                TabulatedMonotone(knots)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "knots.csv"

@@ -216,6 +216,16 @@ class TestPairIO:
         assert isinstance(loaded.measure, SimpleNonAtomic)
         assert loaded.measure.piece_ids == ("a", "b")
         np.testing.assert_array_equal(loaded.p, pair.p)
+        # the other two measure kinds take the same JSON path
+        grid = QuadGrid.trapezoid(0.0, 1.0, 5)
+        for pair in (ProbabilityPair.from_raw(grid, [1.0, 2.0, 3.0, 2.0, 1.0], [1.0] * 5),
+                     ProbabilityPair.from_raw(Counting(3), [1.0, 2.0, 3.0], [3.0, 2.0, 1.0])):
+            save_pair(pair, path)
+            loaded = load_pair(path)
+            assert type(loaded.measure) is type(pair.measure)
+            assert loaded.measure.to_json() == pair.measure.to_json()
+            np.testing.assert_array_equal(loaded.p, pair.p)
+            np.testing.assert_array_equal(loaded.q, pair.q)
 
     def test_json_validation_error_names_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from deformed_renyi import kappa as kappa_module
 from deformed_renyi.divergences import default_alpha_sequence, generalized_renyi, sweep
 from deformed_renyi.families import BUILTIN_FAMILIES, ClassicalExp, TabulatedMonotone, parse_family_spec
 from deformed_renyi.kappa import (
@@ -14,6 +15,7 @@ from deformed_renyi.kappa import (
     SolveStatus,
     _sweep_kappa,
     classical_kappa,
+    interpolation_base,
     normalization_functional,
     solve_kappa,
 )
@@ -102,6 +104,28 @@ def test_unresolvable_tolerance_fails_as_bisection_does_in_fewer_evaluations():
     assert result.residual == reference.residual
     assert result.bracket == reference.bracket
     assert result.iterations <= reference.iterations
+
+
+def test_warm_start_above_the_root_falls_back_to_n_at_zero(monkeypatch):
+    """From guess 10 the first Newton step on log N leaves [0, 10] while N(0)
+    is still unevaluated, so the solve evaluates N(0) next, as a cold start
+    does, and converges to the cold solve's root (~0.40)."""
+    family = parse_family_spec("kaniadakis:0.5")
+    pair, _ = problem("counting", 50)
+    cold = solve_kappa(family, pair, 0.5, tol=TOL)
+    kappas = []
+    integrand = kappa_module._integrand
+
+    def spy(family, base, u0, kappa, work):
+        kappas.append(kappa)
+        return integrand(family, base, u0, kappa, work)
+
+    monkeypatch.setattr(kappa_module, "_integrand", spy)
+    base = interpolation_base(family, pair, 0.5)
+    result = kappa_module._solve(family, pair.measure, 0.5, base, 1.0, TOL, 10.0, np.empty_like(base))
+    assert kappas[:2] == [10.0, 0.0]
+    assert result.status is SolveStatus.CONVERGED
+    assert result.kappa == cold.kappa
 
 
 class TestSweep:
