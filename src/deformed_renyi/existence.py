@@ -19,6 +19,7 @@ honest fallback when a limsup cannot be called either way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -319,6 +320,16 @@ class KaniadakisCertificate:
     check: bool             # alpha^n exp_k(u) <= exp_k(u - 1) on the sample grid
 
 
+@functools.cache
+def _certificate_grids():
+    """The certificate's fixed grids, read-only: where the slope of g is
+    sampled, and the u points of the final check.  Built on first use, not
+    at import, so that a process that makes no certificate never holds them."""
+    v_grid, u_grid = np.geomspace(1e-8, 1e8, 2001), np.linspace(-50.0, 50.0, 10_000)
+    v_grid.flags.writeable = u_grid.flags.writeable = False
+    return v_grid, u_grid
+
+
 def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertificate:
     """Verify that the Kaniadakis family admits a constant shift direction.
 
@@ -337,7 +348,7 @@ def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertific
     def g_prime(v):
         return family.phi_inv_deriv(v) - alpha * family.phi_inv_deriv(alpha * v)
 
-    v_grid = np.geomspace(1e-8, 1e8, 2001)
+    v_grid, u = _certificate_grids()
     slopes = g_prime(v_grid)
     signs = np.sign(slopes[slopes != 0.0])
     flips = int(np.count_nonzero(np.diff(signs) != 0))
@@ -349,7 +360,6 @@ def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertific
 
     lam = float(family.phi_inv(v0) - family.phi_inv(alpha * v0))
     n = math.ceil(1.0 / lam)
-    u = np.linspace(-50.0, 50.0, 10_000)
     check = not np.any(_log_exceeds(n * math.log(alpha) + np.asarray(family.log_phi(u)),
                                     np.asarray(family.log_phi(u - 1.0))))
     return KaniadakisCertificate(kappa=kappa_param, alpha=alpha, v0=float(v0), lam=lam, n=n, check=bool(check))
@@ -363,7 +373,9 @@ def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertific
 @dataclass
 class EnvelopeCheck:
     """counterexamples has one row per sampled (u, v) where the envelope
-    fails, with the columns (u, v, log lhs, log rhs): a (k, 4) float array."""
+    fails, with the columns (u, v, log lhs, log rhs): a C-contiguous (k, 4)
+    float array in the row-major order of the (u, v) grid.  The check fills
+    it in place, so besides it only one block of (u, v) values is held."""
 
     K: float
     lambda0: float
@@ -406,14 +418,29 @@ def growth_envelope_check(
     log_u = np.asarray(family.log_phi(u))
     lam_v = lam * v[None, :]
     rows = max(1, ENVELOPE_BLOCK // v.size)
-    blocks = []
-    for start in range(0, u.size, rows):
-        ub = u[start:start + rows]
-        lhs = np.asarray(family.log_phi(ub[:, None] + v[None, :]))
+    starts = range(0, u.size, rows)
+
+    def block(start):
+        ub = u[start:start + rows, None]
+        lhs = np.asarray(family.log_phi(ub + v[None, :]))
         rhs = math.log(K) + log_u[start:start + rows, None] + lam_v
-        i, j = np.nonzero(_log_exceeds(lhs, rhs))
-        blocks.append(np.column_stack([ub[i], v[j], lhs[i, j], rhs[i, j]]))
-    counterexamples = np.concatenate(blocks)
+        return ub, lhs, rhs, _log_exceeds(lhs, rhs)
+
+    # count the violations per block first, so that each row is written once,
+    # straight into the result; a block is evaluated again only if it has some
+    counts = [int(np.count_nonzero(block(start)[3])) for start in starts]
+    counterexamples = np.empty((sum(counts), 4))
+    end = 0
+    for start, count in zip(starts, counts):
+        if count:
+            ub, lhs, rhs, bad = block(start)
+            # a C-order mask picks rows in the row-major order of np.nonzero
+            out = counterexamples[end:end + count]
+            out[:, 0] = np.broadcast_to(ub, bad.shape)[bad]
+            out[:, 1] = np.broadcast_to(v, bad.shape)[bad]
+            out[:, 2] = lhs[bad]
+            out[:, 3] = rhs[bad]
+            end += count
     return EnvelopeCheck(
         K=K, lambda0=lambda0, c=c, lam=lam,
         holds=counterexamples.shape[0] == 0, n_checked=u.size * v.size,

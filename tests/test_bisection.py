@@ -3,6 +3,7 @@ against their one-point-at-a-time and full-grid references, and the number
 of predicate calls the probes make."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from deformed_renyi.existence import (
     growth_envelope_check,
     verify_kaniadakis_u0,
 )
-from deformed_renyi.families import ClassicalExp, KaniadakisKappa, parse_family_spec
+from deformed_renyi.families import (
+    ClassicalExp,
+    CounterexamplePhi,
+    KaniadakisKappa,
+    TabulatedMonotone,
+    parse_family_spec,
+)
+
+EXP_KNOTS = np.linspace(-40.0, 40.0, 161)
 
 
 class Counted:
@@ -104,21 +113,32 @@ def full_grid_envelope(family, K, lambda0, c, u_grid, v_grid):
     return np.column_stack([u[i], v[j], lhs[i, j], rhs[i, j]]), lhs.size
 
 
-@pytest.mark.parametrize("spec, K, c, u_grid, v_grid", [
-    # the probe defaults: 2001 u rows in blocks of 163
-    ("counterexample", math.e, -math.inf, np.linspace(-50.0, 200.0, 2001), np.linspace(0.0, 20.0, 201)),
-    ("tsallis:2", 1.2, 0.0, np.linspace(-50.0, 200.0, 2001), np.linspace(0.0, 20.0, 201)),
+def assert_rows_array(counterexamples):
+    """The layout np.concatenate of (k, 4) float blocks gave."""
+    assert counterexamples.ndim == 2 and counterexamples.shape[1] == 4
+    assert counterexamples.dtype == np.float64
+    assert counterexamples.flags.c_contiguous
+
+
+@pytest.mark.parametrize("family, K, c, u_grid, v_grid", [
+    # the probe defaults: 2001 u rows in blocks of 163, the first ones
+    # without violations
+    (CounterexamplePhi(), math.e, -math.inf, np.linspace(-50.0, 200.0, 2001), np.linspace(0.0, 20.0, 201)),
+    (parse_family_spec("tsallis:2"), 1.2, 0.0, np.linspace(-50.0, 200.0, 2001), np.linspace(0.0, 20.0, 201)),
     # v longer than one block: one u row per block
-    ("counterexample", 1e6, 0.0, np.linspace(0.0, 60.0, 13), np.linspace(0.0, 30.0, ENVELOPE_BLOCK + 7)),
+    (CounterexamplePhi(), 1e6, 0.0, np.linspace(0.0, 60.0, 13), np.linspace(0.0, 30.0, ENVELOPE_BLOCK + 7)),
     # a single u row
-    ("kaniadakis:0.5", 1.2, -math.inf, [5.0], np.linspace(0.0, 20.0, 201)),
-], ids=["counterexample-defaults", "tsallis-2", "long-v", "one-row"])
-def test_envelope_matches_full_grid_reference(spec, K, c, u_grid, v_grid):
-    family = parse_family_spec(spec)
+    (parse_family_spec("kaniadakis:0.5"), 1.2, -math.inf, [5.0], np.linspace(0.0, 20.0, 201)),
+    # the exp-knot table, with u + v inside its knot range
+    (TabulatedMonotone(list(zip(EXP_KNOTS, np.exp(EXP_KNOTS)))), 1.2, -math.inf,
+     np.linspace(-40.0, 20.0, 481), np.linspace(0.0, 20.0, 201)),
+], ids=["counterexample-defaults", "tsallis-2", "long-v", "one-row", "exp-table"])
+def test_envelope_matches_full_grid_reference(family, K, c, u_grid, v_grid):
     expected, n_checked = full_grid_envelope(family, K, 1.0, c, u_grid, v_grid)
     check = growth_envelope_check(family, K, 1.0, c, u_grid, v_grid)
     assert expected.shape[0] > 0
     # same rows, in the same row-major order, to the bit
+    assert_rows_array(check.counterexamples)
     assert check.counterexamples.shape == expected.shape
     assert check.counterexamples.tobytes() == expected.tobytes()
     assert check.n_checked == n_checked
@@ -130,9 +150,23 @@ def test_envelope_without_violations_is_empty():
     check = growth_envelope_check(ClassicalExp(), math.e, 1.0, -math.inf, u, v)
     expected, n_checked = full_grid_envelope(ClassicalExp(), math.e, 1.0, -math.inf, u, v)
     assert check.holds
+    assert_rows_array(check.counterexamples)
     assert check.counterexamples.shape == expected.shape == (0, 4)
-    assert check.counterexamples.dtype == np.float64
     assert check.n_checked == n_checked == u.size * v.size
+
+
+def test_envelope_holds_each_counterexample_row_once():
+    # at the probe defaults 333 776 of the 402 201 (u, v) points fail; the
+    # check may hold one block besides the 10.2 MiB of rows, not a second copy
+    u, v = np.linspace(-50.0, 200.0, 2001), np.linspace(0.0, 20.0, 201)
+    tracemalloc.start()
+    try:
+        check = growth_envelope_check(CounterexamplePhi(), math.e, 1.0, -math.inf, u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.counterexamples.shape == (333_776, 4)
+    assert peak <= check.counterexamples.nbytes + 2 * 2 ** 20
 
 
 def test_kaniadakis_certificate_slope_evaluations(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deformed_renyi import existence
 from deformed_renyi.existence import (
     VERDICT_BOUNDED,
     VERDICT_INCONCLUSIVE,
@@ -174,6 +175,28 @@ class TestKaniadakisCertificate:
     def test_zero_kappa_rejected(self):
         with pytest.raises(ValueError):
             verify_kaniadakis_u0(0.0, 0.5)
+
+    def test_fixed_grids_are_read_only_and_certificates_unchanged(self, monkeypatch):
+        # the grids are built once; they and the certificates on the
+        # acceptance grid equal, to the bit, grids built per call and the
+        # certificates from them
+        fresh = np.geomspace(1e-8, 1e8, 2001), np.linspace(-50.0, 50.0, 10_000)
+        shared = existence._certificate_grids()
+        assert all(a is b for a, b in zip(existence._certificate_grids(), shared))
+        assert [a.tobytes() for a in shared] == [a.tobytes() for a in fresh]
+        assert not any(a.flags.writeable for a in shared)
+
+        def certificates():
+            return [
+                (c.v0.hex(), c.lam.hex(), c.n, c.check)
+                for c in (verify_kaniadakis_u0(kp, alpha)
+                          for kp in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0)
+                          for alpha in (0.1, 0.25, 0.5, 0.9))
+            ]
+
+        expected = certificates()
+        monkeypatch.setattr(existence, "_certificate_grids", lambda: fresh)
+        assert certificates() == expected
 
 
 class TestGrowthEnvelope:
