@@ -110,51 +110,58 @@ BISECT_DEPTH = 6
 
 
 def _midpoint_tree(lo, hi) -> np.ndarray:
-    """The 2^BISECT_DEPTH - 1 bisection midpoints below (lo, hi) in level
-    order: node k has the children 2k + 1 (its lower half) and 2k + 2 (its
-    upper half).  Each is 0.5 * (lo + hi) of its own interval, the very
+    """One column per bracket (lo, hi): lo, the 2^BISECT_DEPTH - 1 midpoints
+    of BISECT_DEPTH levels of bisection below it in increasing order, and hi.
+    The midpoint at row m, with h the largest power of two dividing m, is
+    0.5 * (lo + hi) of the interval from row m - h to row m + h, the very
     operation a one-point-at-a-time bisection performs."""
-    bounds = np.array([lo, hi])
-    levels = []
-    for _ in range(BISECT_DEPTH):
-        mids = 0.5 * (bounds[:-1] + bounds[1:])
-        levels.append(mids)
-        split = np.empty(2 * bounds.size - 1)
-        split[0::2] = bounds
-        split[1::2] = mids
-        bounds = split
-    return np.concatenate(levels)
+    step = 2 ** BISECT_DEPTH
+    points = np.empty((step + 1, len(lo)))
+    points[0], points[step] = lo, hi
+    while step > 1:
+        points[step // 2::step] = 0.5 * (points[:-1:step] + points[step::step])
+        step //= 2
+    return points
+
+
+def _splits(lo: float, hi: float, tol: float) -> bool:
+    """Whether a bisection step applies to (lo, hi): it is at least tol wide
+    and its midpoint lies strictly inside."""
+    return hi - lo >= tol and lo < 0.5 * (lo + hi) < hi
 
 
 def _bisect_last(pred, lo, hi, tol: float):
-    """Bisect (lo, hi), keeping the upper half where the array predicate holds
-    at the midpoint, until the bracket is narrower than tol or lo and hi are
-    adjacent floats.  The predicate sees BISECT_DEPTH levels of midpoints per
-    call, and the descent through them applies the same tests in the same
-    order as a scalar loop, so the bracket is the scalar loop's for any
-    elementwise predicate."""
-    # the root's tests up front: no call once the bracket cannot shrink
-    while hi - lo >= tol and lo < 0.5 * (lo + hi) < hi:
-        mids = _midpoint_tree(lo, hi)
-        holds = pred(mids)
-        k = 0
-        for _ in range(BISECT_DEPTH):
-            mid = mids[k]
-            if not (hi - lo >= tol and lo < mid < hi):
-                return lo, hi
-            if holds[k]:
-                lo, k = mid, 2 * k + 2
-            else:
-                hi, k = mid, 2 * k + 1
+    """Bisect each bracket (lo[r], hi[r]), keeping the upper half where the
+    predicate holds at the midpoint, until the bracket is narrower than tol
+    or its ends are adjacent floats; returns the lists of the final lo and
+    hi.  Each call pred(mids, rows) sees BISECT_DEPTH levels of midpoints of
+    every bracket still splitting, column i for bracket rows[i], and each
+    bracket's descent through them, on Python floats, applies the same tests
+    in the same order as a scalar loop, so every bracket is the scalar
+    loop's for any elementwise predicate."""
+    lo, hi = [float(x) for x in lo], [float(x) for x in hi]
+    # the root's tests up front: no call once no bracket can shrink
+    live = [r for r in range(len(lo)) if _splits(lo[r], hi[r], tol)]
+    # the descent starts at the middle row of the midpoints and halves its
+    # step at each level; the midpoint it meets is 0.5 * (a + b), the very
+    # value in the tree
+    root = 2 ** (BISECT_DEPTH - 1) - 1
+    steps = [2 ** k for k in range(BISECT_DEPTH - 2, -1, -1)] + [0]
+    while live:
+        mids = _midpoint_tree([lo[r] for r in live], [hi[r] for r in live])[1:-1]
+        for r, column_holds in zip(live, pred(mids, live).T.tolist()):
+            a, b, m = lo[r], hi[r], root
+            for step in steps:
+                mid = 0.5 * (a + b)
+                if not (b - a >= tol and a < mid < b):
+                    break
+                if column_holds[m]:
+                    a, m = mid, m + step
+                else:
+                    b, m = mid, m - step
+            lo[r], hi[r] = a, b
+        live = [r for r in live if _splits(lo[r], hi[r], tol)]
     return lo, hi
-
-
-def _refine_last(pred, grid: np.ndarray, tol: float):
-    """Bracket (lo, hi) from the last grid point where the array predicate
-    holds to the next grid point, bisected until it is narrower than tol or
-    lo and hi are adjacent floats.  None when the predicate holds nowhere."""
-    bracket = _last_bracket(pred(grid), grid)
-    return None if bracket is None else _bisect_last(pred, *bracket, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +330,14 @@ class KaniadakisCertificate:
 @functools.cache
 def _certificate_grids():
     """The certificate's fixed grids, read-only: where the slope of g is
-    sampled, and the u points of the final check.  Built on first use, not
-    at import, so that a process that makes no certificate never holds them."""
+    sampled, and the u points of the final check with the same points less
+    1.  Built on first use, not at import, so that a process that makes no
+    certificate never holds them."""
     v_grid, u_grid = np.geomspace(1e-8, 1e8, 2001), np.linspace(-50.0, 50.0, 10_000)
-    v_grid.flags.writeable = u_grid.flags.writeable = False
-    return v_grid, u_grid
+    grids = v_grid, u_grid, u_grid - 1.0
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
 
 
 def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertificate:
@@ -348,20 +358,21 @@ def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertific
     def g_prime(v):
         return family.phi_inv_deriv(v) - alpha * family.phi_inv_deriv(alpha * v)
 
-    v_grid, u = _certificate_grids()
+    v_grid, u, u_less_1 = _certificate_grids()
     slopes = g_prime(v_grid)
     signs = np.sign(slopes[slopes != 0.0])
     flips = int(np.count_nonzero(np.diff(signs) != 0))
     if flips != 1 or signs[0] >= 0 or signs[-1] <= 0:
         raise MinimizationError(f"objective not unimodal on samples ({flips} slope sign changes)")
     # unimodal with a negative first slope, so the bracket exists
-    lo, hi = _bisect_last(lambda v: g_prime(v) < 0, *_last_bracket(slopes < 0, v_grid), 0.0)
+    lo, hi = _last_bracket(slopes < 0, v_grid)
+    (lo,), (hi,) = _bisect_last(lambda v, rows: g_prime(v) < 0, [lo], [hi], 0.0)
     v0 = 0.5 * (lo + hi)
 
     lam = float(family.phi_inv(v0) - family.phi_inv(alpha * v0))
     n = math.ceil(1.0 / lam)
     check = not np.any(_log_exceeds(n * math.log(alpha) + np.asarray(family.log_phi(u)),
-                                    np.asarray(family.log_phi(u - 1.0))))
+                                    np.asarray(family.log_phi(u_less_1))))
     return KaniadakisCertificate(kappa=kappa_param, alpha=alpha, v0=float(v0), lam=lam, n=n, check=bool(check))
 
 
@@ -502,24 +513,37 @@ def _scan_eta(family: DeformedExponential, log_alpha: float, lam1: float) -> flo
     raise ConstructionError("no eta found with alpha phi(eta) < phi(eta - lambda_1)")
 
 
-def _boundary_sup(family: DeformedExponential, log_alpha: float, lam_n: float,
-                  log_eps: float, u_cap: float) -> float:
-    """sup{u : alpha phi(u) > phi(u - lam_n) and phi(u - lam_n) <= eps},
-    by a grid scan of [u_cap - 80, u_cap] inside the probe range, refined
-    by bisection toward the next grid point above (a conservative
-    over-estimate keeps the certificate valid)."""
+def _boundary_sups(family: DeformedExponential, log_alpha: float, lams: np.ndarray,
+                   log_eps: float, u_eps: float) -> list:
+    """sup{u : alpha phi(u) > phi(u - lam) and phi(u - lam) <= eps} for each
+    lam of lams: a grid scan of [lam + u_eps - 80, lam + u_eps] inside the
+    probe range for each lam, then the brackets found, each toward the next
+    grid point above, bisected together (a conservative over-estimate keeps
+    the certificate valid).  -inf where the condition holds nowhere."""
 
-    def cond(u):
-        rhs = np.asarray(family.log_phi(u - lam_n))
+    def cond(u, lam):
+        rhs = np.asarray(family.log_phi(u - lam))
         return _log_exceeds(log_alpha + np.asarray(family.log_phi(u)), rhs) & ~_log_exceeds(rhs, log_eps)
 
-    lo, hi = _shifted_range(family, lam_n)
-    u_lo = max(u_cap - 80.0, family.a_phi, lo)
-    u_hi = min(u_cap, hi)
-    if u_lo >= u_hi:
-        return -math.inf
-    bracket = _refine_last(cond, np.linspace(u_lo, u_hi, 4001), tol=1e-10)
-    return -math.inf if bracket is None else float(bracket[1])
+    sups = [-math.inf] * lams.size
+    rows, brackets = [], []
+    for r, lam in enumerate(lams.tolist()):
+        lo, hi = _shifted_range(family, lam)
+        u_cap = float(lam + u_eps)
+        u_lo = max(u_cap - 80.0, family.a_phi, lo)
+        u_hi = min(u_cap, hi)
+        if u_lo < u_hi:
+            grid = np.linspace(u_lo, u_hi, 4001)
+            bracket = _last_bracket(cond(grid, lam), grid)
+            if bracket is not None:
+                rows.append(r)
+                brackets.append(bracket)
+    if rows:
+        row_lams = lams[rows]
+        _, his = _bisect_last(lambda u, live: cond(u, row_lams[live]), *zip(*brackets), 1e-10)
+        for r, hi in zip(rows, his):
+            sups[r] = hi
+    return sups
 
 
 def _sublevel_sup(family: DeformedExponential, log_eps: float) -> float:
@@ -557,6 +581,10 @@ def construct_u0_sequence(
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     lambdas = default_lambda_sequence(alpha) if lambda_sequence is None else np.asarray(lambda_sequence, dtype=float)
+    if lambdas.ndim != 1 or lambdas.size == 0:
+        raise ValueError("lambda_sequence must be a non-empty one-dimensional sequence")
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError("lambda_sequence must be finite")
     if np.any(lambdas <= 0) or np.any(np.diff(lambdas) >= 0):
         raise ValueError("lambda_sequence must be positive and strictly decreasing")
 
@@ -572,28 +600,29 @@ def construct_u0_sequence(
 
     u_eps = _sublevel_sup(family, log_eps)
     # the selection walks forward through the lambdas and usually stops well
-    # before the last, so each boundary is computed only when the walk reaches it
+    # before the last.  Each term left takes at least one lambda, so a walk at
+    # lambda j with i terms chosen reaches the next n_terms - i lambdas: their
+    # boundaries are computed together, and none beyond them
     walk = iter(range(lambdas.size))
-    indices, c_seq, phi_c_seq = [], [], []
+    indices, c_all, phi_c_all = [], [], []
     for i in range(n_terms):
         cap = summability_target * 2.0 ** -(i + 2)
         for j in walk:
-            lam_n = float(lambdas[j])
-            c = _boundary_sup(family, log_alpha, lam_n, log_eps, float(lam_n + u_eps))
-            phi_c = _phi_or_zero(family, [c])[0]
-            if phi_c <= cap:
+            if j == len(c_all):
+                sups = _boundary_sups(family, log_alpha, lambdas[j:j + n_terms - i], log_eps, u_eps)
+                c_all += sups
+                phi_c_all += _phi_or_zero(family, sups).tolist()
+            if phi_c_all[j] <= cap:
                 break
         else:
             raise ConstructionError(
                 "boundary values did not decay within the lambda range; construction inconclusive"
             )
         indices.append(j)
-        c_seq.append(c)
-        phi_c_seq.append(phi_c)
 
     u0_seq = lambdas[indices]
-    c_seq = np.array(c_seq)
-    partial = float(np.sum(phi_c_seq))
+    c_seq = np.array(c_all)[indices]
+    partial = float(np.sum(np.array(phi_c_all)[indices]))
     # further terms would be capped at target * 2^-(i+2); their total is below this
     tail_bound = summability_target * 2.0 ** -(n_terms + 1)
     return U0Construction(

@@ -1,12 +1,15 @@
-"""The batched scan-and-refine bisection and the row-blocked envelope check
-against their one-point-at-a-time and full-grid references, and the number
-of predicate calls the probes make."""
+"""The row-wise scan-and-refine bisection and the row-blocked envelope
+check against their one-point-at-a-time and full-grid references, the u0
+construction against its one-lambda-at-a-time reference, and the number of
+predicate calls the probes make."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import reference_u0
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_bisection import refine_last
@@ -16,12 +19,14 @@ from deformed_renyi.existence import (
     BISECT_DEPTH,
     ENVELOPE_BLOCK,
     LOG_SLACK,
-    _refine_last,
+    _bisect_last,
+    _last_bracket,
     construct_u0_sequence,
     growth_envelope_check,
     verify_kaniadakis_u0,
 )
 from deformed_renyi.families import (
+    BUILTIN_FAMILIES,
     ClassicalExp,
     CounterexamplePhi,
     KaniadakisKappa,
@@ -38,9 +43,9 @@ class Counted:
     def __init__(self, pred):
         self.pred, self.calls = pred, 0
 
-    def __call__(self, x):
+    def __call__(self, *args):
         self.calls += 1
-        return self.pred(x)
+        return self.pred(*args)
 
 
 def hashed_predicate(key: int, share: float):
@@ -68,19 +73,28 @@ def narrow_grids(draw):
     return list(np.unique(grid))
 
 
+keys = st.integers(1, 2 ** 63 - 1).map(lambda k: 2 * k + 1)
+shares = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])
+tols = st.sampled_from([0.0, 1e-10, 1e-3])
+
+
+def refine_one(pred, grid, tol):
+    """The scan, then the row-wise bisection of its bracket as the only row."""
+    bracket = _last_bracket(pred(grid), grid)
+    if bracket is None:
+        return None
+    (lo,), (hi,) = _bisect_last(lambda x, rows: pred(x), [bracket[0]], [bracket[1]], tol)
+    return lo, hi
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    grid=st.one_of(wide_grids, narrow_grids()),
-    key=st.integers(1, 2 ** 63 - 1).map(lambda k: 2 * k + 1),
-    share=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
-    tol=st.sampled_from([0.0, 1e-10, 1e-3]),
-)
+@given(grid=st.one_of(wide_grids, narrow_grids()), key=keys, share=shares, tol=tols)
 def test_bracket_matches_scalar_reference(grid, key, share, tol):
     grid = np.sort(np.asarray(grid, dtype=float))
     pred = hashed_predicate(key, share)
     reference, batched = Counted(pred), Counted(pred)
     expected = refine_last(reference, grid, tol)
-    got = _refine_last(batched, grid, tol)
+    got = refine_one(batched, grid, tol)
     if expected is None:
         assert got is None
         assert batched.calls == 1
@@ -91,11 +105,43 @@ def test_bracket_matches_scalar_reference(grid, key, share, tol):
     assert batched.calls == 1 + math.ceil(steps / BISECT_DEPTH)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.one_of(wide_grids, narrow_grids()), keys, shares), min_size=2, max_size=8),
+    tol=tols,
+)
+def test_rows_match_scalar_reference_one_at_a_time(rows, tol):
+    # each row has its own grid and predicate, so rows stop at different depths
+    preds, brackets, expected, depths = [], [], [], []
+    for grid, key, share in rows:
+        grid = np.sort(np.asarray(grid, dtype=float))
+        pred = hashed_predicate(key, share)
+        bracket = _last_bracket(pred(grid), grid)
+        if bracket is None:
+            continue
+        reference = Counted(pred)
+        expected.append(refine_last(reference, grid, tol))
+        depths.append(math.ceil((reference.calls - 1) / BISECT_DEPTH))
+        preds.append(pred)
+        brackets.append(bracket)
+
+    def rowwise(mids, live):
+        assert mids.shape == (2 ** BISECT_DEPTH - 1, len(live))
+        return np.column_stack([preds[r](mids[:, i]) for i, r in enumerate(live)])
+
+    counted = Counted(rowwise)
+    lo, hi = _bisect_last(counted, [b[0] for b in brackets], [b[1] for b in brackets], tol)
+    assert [(a.hex(), b.hex()) for a, b in zip(lo, hi)] == [
+        (float(a).hex(), float(b).hex()) for a, b in expected
+    ]
+    assert counted.calls == max(depths, default=0)
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-3])
 def test_hit_on_last_grid_point_is_a_point_bracket(tol):
     grid = np.linspace(-3.0, 7.0, 11)
     pred = Counted(lambda x: np.ones(np.shape(x), dtype=bool))
-    lo, hi = _refine_last(pred, grid, tol)
+    lo, hi = refine_one(pred, grid, tol)
     assert lo == hi == 7.0
     assert refine_last(pred.pred, grid, tol) == (lo, hi)
     assert pred.calls == 1
@@ -191,15 +237,56 @@ def test_kaniadakis_certificate_slope_evaluations(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["tsallis:0.5", "tsallis:2"])
 def test_u0_construction_predicate_calls(monkeypatch, spec):
-    # scalar bisection made 288 (tsallis:0.5) and 314 (tsallis:2) calls here
-    preds = []
-    refine = existence._refine_last
+    # one call per boundary scan, then the bisection calls; scalar bisection
+    # made 288 (tsallis:0.5) and 314 (tsallis:2) calls here, one bisection
+    # per boundary 76 and 79, and the boundaries bisected together make 26
+    # and 32
+    calls = []
+    last_bracket, bisect_last = existence._last_bracket, existence._bisect_last
 
-    def counted_refine(pred, grid, tol):
-        preds.append(Counted(pred))
-        return refine(preds[-1], grid, tol)
+    def counted_scan(holds, grid):
+        calls.append("scan")
+        return last_bracket(holds, grid)
 
-    monkeypatch.setattr(existence, "_refine_last", counted_refine)
+    def counted_bisect(pred, lo, hi, tol):
+        def counted(*args):
+            calls.append("bisect")
+            return pred(*args)
+
+        return bisect_last(counted, lo, hi, tol)
+
+    monkeypatch.setattr(existence, "_last_bracket", counted_scan)
+    monkeypatch.setattr(existence, "_bisect_last", counted_bisect)
     assert construct_u0_sequence(parse_family_spec(spec), 0.3).certificate_ok
-    assert sum(p.calls for p in preds) <= 90
+    assert len(calls) <= 40
 
+
+FLAT_BOTTOM_KNOTS = np.array([-10.0, 5.0, 10.0, 40.0])
+KANIADAKIS_KNOTS = np.linspace(-60.0, 60.0, 421)
+U0_FAMILIES = [parse_family_spec(s) for s in BUILTIN_FAMILIES] + [
+    TabulatedMonotone(list(zip(EXP_KNOTS, np.exp(EXP_KNOTS)))),
+    TabulatedMonotone(list(zip(FLAT_BOTTOM_KNOTS, np.exp(np.maximum(FLAT_BOTTOM_KNOTS, 5.0))))),
+    TabulatedMonotone(list(zip(KANIADAKIS_KNOTS, KaniadakisKappa(0.5).phi(KANIADAKIS_KNOTS)))),
+]
+U0_FAMILY_IDS = list(BUILTIN_FAMILIES) + ["exp-table", "flat-bottom-table", "kaniadakis-table"]
+
+
+def construction_outcome(construct, family, alpha, **kwargs):
+    """(c_sequence bytes, lambda_indices, to_json bytes), or the error."""
+    try:
+        con = construct(family, alpha, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return con.c_sequence.tobytes(), con.lambda_indices, json.dumps(con.to_json()).encode()
+
+
+@pytest.mark.parametrize("family", U0_FAMILIES, ids=U0_FAMILY_IDS)
+def test_u0_construction_matches_one_lambda_at_a_time_reference(family):
+    # the three-lambda sequence cannot supply 16 terms, and at large alphas
+    # not even its eta: both error paths
+    for alpha in np.linspace(0.02, 0.98, 9):
+        for kwargs in ({"n_terms": 1}, {"n_terms": 16}, {"n_terms": 40},
+                       {"lambda_sequence": [0.5, 0.25, 0.125], "n_terms": 1},
+                       {"lambda_sequence": [0.5, 0.25, 0.125], "n_terms": 16}):
+            expected = construction_outcome(reference_u0.construct_u0_sequence, family, float(alpha), **kwargs)
+            assert construction_outcome(construct_u0_sequence, family, float(alpha), **kwargs) == expected

@@ -179,8 +179,9 @@ class TestKaniadakisCertificate:
     def test_fixed_grids_are_read_only_and_certificates_unchanged(self, monkeypatch):
         # the grids are built once; they and the certificates on the
         # acceptance grid equal, to the bit, grids built per call and the
-        # certificates from them
-        fresh = np.geomspace(1e-8, 1e8, 2001), np.linspace(-50.0, 50.0, 10_000)
+        # certificates from them; the last is the u grid less 1
+        u = np.linspace(-50.0, 50.0, 10_000)
+        fresh = np.geomspace(1e-8, 1e8, 2001), u, u - 1.0
         shared = existence._certificate_grids()
         assert all(a is b for a, b in zip(existence._certificate_grids(), shared))
         assert [a.tobytes() for a in shared] == [a.tobytes() for a in fresh]
@@ -329,17 +330,19 @@ class TestU0Construction:
     def test_boundaries_computed_only_up_to_last_selected(self, spec, monkeypatch):
         from deformed_renyi import existence
 
-        calls = []
-        boundary_sup = existence._boundary_sup
+        runs = []
+        boundary_sups = existence._boundary_sups
 
-        def counted(*args):
-            calls.append(args[2])
-            return boundary_sup(*args)
+        def counted(family, log_alpha, lams, *args):
+            runs.append(lams.tolist())
+            return boundary_sups(family, log_alpha, lams, *args)
 
-        monkeypatch.setattr(existence, "_boundary_sup", counted)
+        monkeypatch.setattr(existence, "_boundary_sups", counted)
         con = construct_u0_sequence(parse_family_spec(spec), alpha=0.3)
-        assert len(calls) == con.lambda_indices[-1] + 1 < 64
-        assert calls == sorted(calls, reverse=True)  # each lambda once, in order
+        computed = [lam for run in runs for lam in run]
+        # each lambda once, in order, up to the last one selected
+        assert computed == existence.default_lambda_sequence(0.3)[:con.lambda_indices[-1] + 1].tolist()
+        assert len(computed) < 64
 
     def test_boundaries_that_never_decay_are_inconclusive(self):
         # three lambdas cannot supply 16 terms
@@ -351,6 +354,19 @@ class TestU0Construction:
             construct_u0_sequence(ClassicalExp(), 0.3, lambda_sequence=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             construct_u0_sequence(ClassicalExp(), 0.3, lambda_sequence=np.array([-1.0, -2.0]))
+
+    @pytest.mark.parametrize("lambdas", [[1.0, math.nan, 0.5], [math.inf, 1.0, 0.5], [1.0, 0.5, -math.inf]])
+    def test_non_finite_lambda_sequence_rejected(self, lambdas):
+        # a NaN shift used to be certified, as u0_sequence [nan]; an infinite
+        # first lambda failed as "no eta found"
+        with pytest.raises(ValueError, match="^lambda_sequence must be finite$"):
+            construct_u0_sequence(parse_family_spec("tsallis:0.5"), 0.3, lambda_sequence=lambdas, n_terms=1)
+
+    @pytest.mark.parametrize("lambdas", [[], np.empty(0), [[0.5, 0.25]], 0.5])
+    def test_empty_lambda_sequence_rejected(self, lambdas):
+        # an empty sequence used to raise IndexError
+        with pytest.raises(ValueError, match="^lambda_sequence must be a non-empty one-dimensional sequence$"):
+            construct_u0_sequence(parse_family_spec("tsallis:0.5"), 0.3, lambda_sequence=lambdas)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_terms": 0}, "n_terms must be >= 1"),
