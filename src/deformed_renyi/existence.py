@@ -43,10 +43,6 @@ class ConstructionError(ValueError):
     """A construction could not certify itself within its probe range."""
 
 
-class MinimizationError(ArithmeticError):
-    """Sampled objective was not unimodal; minimizer untrusted."""
-
-
 class DegenerateDomainError(ValueError):
     """phi vanished over the whole probe grid."""
 
@@ -321,20 +317,19 @@ def pointwise_inequality_probe(
 class KaniadakisCertificate:
     kappa: float
     alpha: float
-    v0: float               # numeric minimizer of log_k(v) - log_k(alpha v); (1/alpha)^(1/2) in closed form
-    lam: float              # minimum value; alpha exp_k(u) <= exp_k(u - lam) for all u
+    v0: float               # alpha^(-1/2), the minimizer of log_k(v) - log_k(alpha v) for every k
+    lam: float              # the minimum, 2 sinh(x) / k with x = -(k/2) log alpha
     n: int                  # ceil(1/lam)
     check: bool             # alpha^n exp_k(u) <= exp_k(u - 1) on the sample grid
 
 
 @functools.cache
 def _certificate_grids():
-    """The certificate's fixed grids, read-only: where the slope of g is
-    sampled, and the u points of the final check with the same points less
-    1.  Built on first use, not at import, so that a process that makes no
-    certificate never holds them."""
-    v_grid, u_grid = np.geomspace(1e-8, 1e8, 2001), np.linspace(-50.0, 50.0, 10_000)
-    grids = v_grid, u_grid, u_grid - 1.0
+    """The u points of the certificate's check and the same points less 1,
+    read-only.  Built on first use, not at import, so that a process that
+    makes no certificate never holds them."""
+    u_grid = np.linspace(-50.0, 50.0, 10_000)
+    grids = u_grid, u_grid - 1.0
     for grid in grids:
         grid.flags.writeable = False
     return grids
@@ -343,37 +338,28 @@ def _certificate_grids():
 def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertificate:
     """Verify that the Kaniadakis family admits a constant shift direction.
 
-    Minimizes g(v) = log_k(v) - log_k(alpha v) over v > 0; g is unimodal
-    (derivative negative then positive), so the minimizer is located by
-    bisecting the sign change of g'.  Sets lam to the minimum value,
-    n = ceil(1/lam), and checks alpha^n exp_k(u) <= exp_k(u - 1) on 10 000
-    points of [-50, 50].
+    g(v) = log_k(v) - log_k(alpha v) has g'(v) = 0 only at v0 = alpha^(-1/2),
+    for every k, so its minimum is lam = g(v0) = 2 sinh(x) / k with
+    x = -(k/2) log alpha.  lam is evaluated as -log(alpha) sinh(x) / x, the
+    same value without the cancellation of alpha^(-k/2) - alpha^(k/2) near
+    alpha = 1, and exact where x is subnormal or 0 (sinh(x) / x = 1), so
+    every k the validator accepts gives a finite, positive lam.  Sets
+    n = ceil(1/lam) and checks alpha^n exp_k(u) <= exp_k(u - 1) on 10 000
+    points of [-50, 50], the sampled evidence.
     """
     if kappa_param == 0.0 or not -1.0 <= kappa_param <= 1.0:
         raise ValueError("kappa_param must be in [-1, 1] and nonzero")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     family = KaniadakisKappa(kappa_param)
-
-    def g_prime(v):
-        return family.phi_inv_deriv(v) - alpha * family.phi_inv_deriv(alpha * v)
-
-    v_grid, u, u_less_1 = _certificate_grids()
-    slopes = g_prime(v_grid)
-    signs = np.sign(slopes[slopes != 0.0])
-    flips = int(np.count_nonzero(np.diff(signs) != 0))
-    if flips != 1 or signs[0] >= 0 or signs[-1] <= 0:
-        raise MinimizationError(f"objective not unimodal on samples ({flips} slope sign changes)")
-    # unimodal with a negative first slope, so the bracket exists
-    lo, hi = _last_bracket(slopes < 0, v_grid)
-    (lo,), (hi,) = _bisect_last(lambda v, rows: g_prime(v) < 0, [lo], [hi], 0.0)
-    v0 = 0.5 * (lo + hi)
-
-    lam = float(family.phi_inv(v0) - family.phi_inv(alpha * v0))
+    log_alpha = math.log(alpha)
+    x = -0.5 * kappa_param * log_alpha
+    lam = -log_alpha * (math.sinh(x) / x if x else 1.0)
     n = math.ceil(1.0 / lam)
-    check = not np.any(_log_exceeds(n * math.log(alpha) + np.asarray(family.log_phi(u)),
+    u, u_less_1 = _certificate_grids()
+    check = not np.any(_log_exceeds(n * log_alpha + np.asarray(family.log_phi(u)),
                                     np.asarray(family.log_phi(u_less_1))))
-    return KaniadakisCertificate(kappa=kappa_param, alpha=alpha, v0=float(v0), lam=lam, n=n, check=bool(check))
+    return KaniadakisCertificate(kappa=kappa_param, alpha=alpha, v0=alpha ** -0.5, lam=lam, n=n, check=bool(check))
 
 
 # ---------------------------------------------------------------------------

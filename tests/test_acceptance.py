@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+import reference_kaniadakis
 
 from deformed_renyi.divergences import (
     classical_renyi,
@@ -126,16 +127,24 @@ def test_criterion_4_kl_reduction():
 
 def test_criterion_5_kaniadakis_worked_example():
     """Minimizer of log_k(v) - log_k(alpha v) equals (1/alpha)^(1/2) within
-    1e-8, and the derived (alpha, n) certificate holds on [-50, 50]."""
-    worst = 0.0
-    checks = True
+    1e-8, and the derived (alpha, n) certificate holds on [-50, 50].  The
+    library takes the minimizer in closed form, so both it and (1/alpha)^(1/2)
+    are compared with the numeric minimizer of tests/reference_kaniadakis.py,
+    and the certificate's lam, n and check with the ones derived from it."""
+    worst = worst_lam = 0.0
+    checks = same = True
     for kp in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0):
         for alpha in (0.1, 0.25, 0.5, 0.9):
             cert = verify_kaniadakis_u0(kp, alpha)
-            worst = max(worst, abs(cert.v0 - (1.0 / alpha) ** 0.5))
+            v0, lam, n, check = reference_kaniadakis.certificate(kp, alpha)
+            worst = max(worst, abs(cert.v0 - v0), abs(v0 - (1.0 / alpha) ** 0.5))
+            worst_lam = max(worst_lam, abs(cert.lam - lam) / lam)
             checks &= cert.check
+            same &= (cert.n, cert.check) == (n, check)
     _verdict(5, f"kaniadakis certificate: max |v0 error| = {worst:.3e} <= 1e-8, "
-                f"shift inequality holds on u grid", worst <= 1e-8 and checks)
+                f"lam within {worst_lam:.1e} <= 1e-12 relative and n, check as the numeric minimizer's, "
+                f"shift inequality holds on u grid",
+             worst <= 1e-8 and worst_lam <= 1e-12 and same and checks)
 
 
 def test_criterion_6_growth_ratio_verdicts():

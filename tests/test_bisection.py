@@ -216,23 +216,25 @@ def test_envelope_holds_each_counterexample_row_once():
 
 
 def test_kaniadakis_certificate_slope_evaluations(monkeypatch):
-    # g'(v) evaluations per certificate on the acceptance grid: the v grid
-    # once, then one per BISECT_DEPTH bisection steps (a scalar bisection
-    # made up to 50)
-    counts = []
+    # the certificate takes its minimizer in closed form: no g'(v) evaluation
+    # (a phi_inv_deriv call) and no bisection, on the acceptance grid
+    calls = []
 
     class CountedKaniadakis(KaniadakisKappa):
         def phi_inv_deriv(self, v):
-            counts[-1] += 1
+            calls.append("phi_inv_deriv")
             return super().phi_inv_deriv(v)
 
+    def counted_bisect(*args):
+        calls.append("bisect")
+        return _bisect_last(*args)
+
     monkeypatch.setattr(existence, "KaniadakisKappa", CountedKaniadakis)
+    monkeypatch.setattr(existence, "_bisect_last", counted_bisect)
     for kp in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0):
         for alpha in (0.1, 0.25, 0.5, 0.9):
-            counts.append(0)
-            verify_kaniadakis_u0(kp, alpha)
-    # g' calls phi_inv_deriv twice
-    assert max(counts) // 2 <= 10
+            assert verify_kaniadakis_u0(kp, alpha).check
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec", ["tsallis:0.5", "tsallis:2"])

@@ -1,7 +1,9 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+import reference_kaniadakis
 
 from deformed_renyi import existence
 from deformed_renyi.existence import (
@@ -153,6 +155,19 @@ class TestInequalityProbe:
             pointwise_inequality_probe(CounterexamplePhi(), 0.5, 1.0, grid)
 
 
+ACCEPTANCE_GRID = [(kp, alpha) for kp in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0) for alpha in (0.1, 0.25, 0.5, 0.9)]
+# k from -1 to 1, alpha from 0.05 to 0.99: 63 cases on which the numeric
+# minimizer is well resolved
+BASELINE_GRID = [(kp, alpha) for kp in (-1.0, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0)
+                 for alpha in (0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99)]
+TINY_KAPPAS = (5e-324, -5e-324, 1e-300, -1e-300, 1e-8, -1e-8)
+
+
+def _lam_rel_error(cert):
+    ref = reference_kaniadakis.lam_decimal(cert.kappa, cert.alpha)
+    return float(abs((Decimal(cert.lam) - ref) / ref))
+
+
 class TestKaniadakisCertificate:
     def test_minimizer_quarter_alpha(self):
         for kp in (0.25, -0.5, 1.0):
@@ -166,23 +181,79 @@ class TestKaniadakisCertificate:
         assert cert.n == 1
 
     def test_certificate_grid_check(self):
-        for kp in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0):
-            for alpha in (0.1, 0.25, 0.5, 0.9):
-                cert = verify_kaniadakis_u0(kp, alpha)
-                assert abs(cert.v0 - alpha ** -0.5) < 1e-8
-                assert cert.check
+        for kp, alpha in ACCEPTANCE_GRID:
+            cert = verify_kaniadakis_u0(kp, alpha)
+            assert abs(cert.v0 - alpha ** -0.5) < 1e-8
+            assert cert.check
+
+    @pytest.mark.parametrize("grid", [ACCEPTANCE_GRID, BASELINE_GRID], ids=["acceptance", "baseline-63"])
+    def test_matches_numeric_minimizer(self, grid):
+        # the closed form against the slope scan and bisection it replaced
+        for kp, alpha in grid:
+            cert = verify_kaniadakis_u0(kp, alpha)
+            v0, lam, n, check = reference_kaniadakis.certificate(kp, alpha)
+            assert cert.v0 == alpha ** -0.5
+            assert abs(cert.v0 - v0) < 1e-8
+            assert cert.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
+            assert (cert.n, cert.check) == (n, check)
+
+    @pytest.mark.parametrize("kp", (0.25, -0.25, 0.5, -0.5, 1.0, -1.0) + TINY_KAPPAS)
+    def test_lambda_matches_decimal_near_alpha_one(self, kp):
+        # alpha^(-k/2) - alpha^(k/2) cancels as alpha -> 1, and so did the
+        # numeric minimum; 2 sinh(x) / k does not
+        for alpha in (0.02, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 2 ** -53):
+            cert = verify_kaniadakis_u0(kp, alpha)
+            assert _lam_rel_error(cert) <= 1e-15, (kp, alpha)
+            assert cert.v0 == alpha ** -0.5
+            assert cert.check
+
+    @pytest.mark.parametrize("kp, alpha, n", [(0.25, 1 - 1e-9, 1_000_000_028), (0.5, 1 - 1e-12, 1_000_022_122_210)])
+    def test_shift_count_near_alpha_one(self, kp, alpha, n):
+        # the numeric minimum overstated lam here: 1.0000000018e-9 against
+        # 9.999999722e-10, so n was 999999999 at k = 0.25
+        cert = verify_kaniadakis_u0(kp, alpha)
+        assert cert.n == n == math.ceil(1 / reference_kaniadakis.lam_decimal(kp, alpha))
+        assert cert.v0 == alpha ** -0.5
+
+    @pytest.mark.parametrize("kp, alpha", [
+        (0.5, 1e-20), (1.0, 1e-17), (-1.0, 1e-17), (1.0, 5e-324), (-0.25, 5e-324),
+        (1e-300, 0.5), (-1e-300, 0.5), (1e-8, 0.5), (-1e-8, 0.5),
+        (5e-324, 0.5), (-5e-324, 0.5), (5e-324, 5e-324), (-5e-324, 1 - 1e-12),
+    ])
+    def test_minimizer_outside_numeric_search(self, kp, alpha):
+        # v0 outside [1e-8, 1e8], or |k| so small that the slope of g is
+        # lost in rounding: out of reach of the numeric search in
+        # reference_kaniadakis.  Rounding x = -(k/2) log alpha moves lam by
+        # about |x| ulps, so the bound grows with |x|.
+        cert = verify_kaniadakis_u0(kp, alpha)
+        x = abs(0.5 * kp * math.log(alpha))
+        assert cert.v0 == alpha ** -0.5
+        assert _lam_rel_error(cert) <= (4 + x) * 2 ** -52
+        assert cert.n == math.ceil(1 / cert.lam) >= 1
+        assert cert.check
 
     def test_zero_kappa_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^kappa_param must be in \[-1, 1\] and nonzero$"):
             verify_kaniadakis_u0(0.0, 0.5)
+
+    @pytest.mark.parametrize("kp", [-0.0, math.nan, math.inf, -math.inf, 1.5, -1.0000001])
+    def test_bad_kappa_message(self, kp):
+        with pytest.raises(ValueError, match=r"^kappa_param must be in \[-1, 1\] and nonzero$"):
+            verify_kaniadakis_u0(kp, 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan, math.inf, -0.5])
+    def test_bad_alpha_message(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)$"):
+            verify_kaniadakis_u0(0.5, alpha)
 
     def test_fixed_grids_are_read_only_and_certificates_unchanged(self, monkeypatch):
         # the grids are built once; they and the certificates on the
         # acceptance grid equal, to the bit, grids built per call and the
-        # certificates from them; the last is the u grid less 1
+        # certificates from them; the second is the u grid less 1
         u = np.linspace(-50.0, 50.0, 10_000)
-        fresh = np.geomspace(1e-8, 1e8, 2001), u, u - 1.0
+        fresh = u, u - 1.0
         shared = existence._certificate_grids()
+        assert len(shared) == 2
         assert all(a is b for a, b in zip(existence._certificate_grids(), shared))
         assert [a.tobytes() for a in shared] == [a.tobytes() for a in fresh]
         assert not any(a.flags.writeable for a in shared)
@@ -190,9 +261,7 @@ class TestKaniadakisCertificate:
         def certificates():
             return [
                 (c.v0.hex(), c.lam.hex(), c.n, c.check)
-                for c in (verify_kaniadakis_u0(kp, alpha)
-                          for kp in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0)
-                          for alpha in (0.1, 0.25, 0.5, 0.9))
+                for c in (verify_kaniadakis_u0(kp, alpha) for kp, alpha in ACCEPTANCE_GRID)
             ]
 
         expected = certificates()
