@@ -67,10 +67,13 @@ def sweep(
     tol: float = 1e-12,
 ) -> list[DivergenceReport]:
     """generalized_renyi at each alpha, in the given order: phi^-1(p) and
-    phi^-1(q) are computed once, and each solve starts from the previous
-    converged alpha's divergence value, kappa = D_i alpha (1 - alpha) (from
-    kappa = 0 after one that did not converge).  Every report meets the same
-    tolerance as a single solve; a non-converged alpha does not stop the sweep.
+    phi^-1(q) are computed once, the first alpha is solved alone, as
+    generalized_renyi solves it, and the others in chunks solved together
+    (see the kappa module).  Each chunk starts from the divergence value of
+    the last converged alpha before it, kappa = D alpha (1 - alpha), or from
+    kappa = 0 when the chunk before it has none.  Every report meets the same
+    tolerance as a single solve, though its kappa may differ from the single
+    solve's in the last bits; a non-converged alpha does not stop the sweep.
     generalized_renyi is a one-alpha sweep, which overwrites its inverse images.
     """
     results = _sweep_kappa(family, pair, alphas, u0, tol)
@@ -118,8 +121,9 @@ def phi_divergence(family: DeformedExponential, pair: ProbabilityPair, u0=1.0) -
     Kullback-Leibler, since (phi^-1)'(p) = 1/p.
     """
     u0 = _resolve_u0(u0, pair.measure)
-    inv_p = np.asarray(family.phi_inv(pair.p))
-    inv_q = np.asarray(family.phi_inv(pair.q))
+    # the pair's densities are already checked positive and finite
+    inv_p = family._phi_inv(pair.p)
+    inv_q = family._phi_inv(pair.q)
     slope = np.asarray(family.phi_inv_deriv(pair.p))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         numerator = integrate(pair.measure, (inv_p - inv_q) / slope)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .families import LOG_PHI_MAX, PHI_MAX, CounterexamplePhi, DeformedExponential, KaniadakisKappa
 from .jsonutil import jsonable
-from .kappa import normalization_functional
+from .kappa import ENVELOPE_BLOCK, normalization_functional
 from .measures import ProbabilityPair, SimpleNonAtomic
 
 VERDICT_BOUNDED = "bounded"
@@ -386,10 +386,6 @@ class EnvelopeCheck:
         obj = jsonable(replace(self, counterexamples=self.counterexamples[:32]))
         obj["lambda"] = obj.pop("lam")
         return obj
-
-
-# (u, v) elements per envelope block: each temporary stays near 256 KiB
-ENVELOPE_BLOCK = 2 ** 15
 
 
 def growth_envelope_check(

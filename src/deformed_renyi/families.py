@@ -56,15 +56,18 @@ class DeformedExponential:
     The public maps accept scalars or arrays and return a float for a scalar
     input.  Subclasses implement only four array hooks: _log_phi, _phi_inv,
     _phi_inv_deriv and _phi_prime.  The two inverse hooks receive float arrays
-    with v > 0.  _phi_prime(u, values) receives u and values = phi(u) (as
-    saturated by phi) and returns phi'(u) by cheap algebra on the two, so the
-    kappa solve gets N'(kappa) without another transcendental pass: 0 wherever
-    phi(u) = 0, NaN where u is NaN, and a one-sided derivative at a kink.
+    with v > 0 and return a fresh float array of the input's shape.
+    _log_phi(u, out) writes log phi(u) into out and returns out.
+    _phi_prime(u, values, out) receives u and values = phi(u) (as saturated by
+    phi), writes phi'(u) into out by cheap algebra on the two and returns out,
+    so the kappa solve gets N'(kappa) without another transcendental pass: 0
+    wherever phi(u) = 0, NaN where u is NaN, and a one-sided derivative at a
+    kink.  out is a float array of u's shape (0-d included, or a (rows, n)
+    block) that aliases neither u nor values, and no hook writes into its
+    inputs, so the kappa solve can reuse its own buffers at every step.
     _phi_inv_deriv is its own hook, not 1 / _phi_prime(_phi_inv(v), v): for
     Tsallis, 1 + u/m cancels near the bottom of the support, which costs up
-    to 2e-5 relative accuracy at v = 1e-12.  Each hook returns a fresh float
-    array of its input's shape (0-d included) and never writes into its
-    inputs, so phi can saturate the result in place.
+    to 2e-5 relative accuracy at v = 1e-12.
     """
 
     family_id: str = "base"
@@ -73,17 +76,21 @@ class DeformedExponential:
     def log_phi(self, u):
         """log phi(u); -inf where phi vanishes.  Never saturated."""
         u = np.asarray(u, dtype=float)
-        return _scalar_like(u, self._log_phi(u))
+        return _scalar_like(u, self._log_phi(u, np.empty(u.shape)))
 
     def phi(self, u):
-        """phi(u) >= 0, with values above PHI_MAX reported as +inf.
+        """phi(u) >= 0, with values above PHI_MAX reported as +inf."""
+        u = np.asarray(u, dtype=float)
+        return _scalar_like(u, self._phi(u, np.empty(u.shape)))
+
+    def _phi(self, u, out):
+        """phi(u) into out, as _log_phi writes log phi (the same contract).
 
         The saturation mask is built only when the largest log phi exceeds
         LOG_PHI_MAX or is NaN (NaN fails the comparison, so a NaN anywhere
         also takes the mask path); otherwise phi is one in-place exp.
         """
-        u = np.asarray(u, dtype=float)
-        out = self._log_phi(u)
+        self._log_phi(u, out)
         if out.size and not out.max() <= LOG_PHI_MAX:
             saturated = out > LOG_PHI_MAX
             with np.errstate(over="ignore"):
@@ -91,7 +98,7 @@ class DeformedExponential:
             out[saturated] = np.inf
         else:
             np.exp(out, out=out)
-        return _scalar_like(u, out)
+        return out
 
     def phi_inv(self, v):
         v = self._check_positive(v)
@@ -102,7 +109,7 @@ class DeformedExponential:
         v = self._check_positive(v)
         return _scalar_like(v, self._phi_inv_deriv(v))
 
-    def _log_phi(self, u):
+    def _log_phi(self, u, out):
         raise NotImplementedError
 
     def _phi_inv(self, v):
@@ -111,7 +118,7 @@ class DeformedExponential:
     def _phi_inv_deriv(self, v):
         raise NotImplementedError
 
-    def _phi_prime(self, u, values):
+    def _phi_prime(self, u, values, out):
         raise NotImplementedError
 
     @classmethod
@@ -141,8 +148,9 @@ class ClassicalExp(DeformedExponential):
 
     family_id = "exp"
 
-    def _log_phi(self, u):
-        return u.copy()
+    def _log_phi(self, u, out):
+        out[...] = u
+        return out
 
     def _phi_inv(self, v):
         return np.log(v)
@@ -150,8 +158,9 @@ class ClassicalExp(DeformedExponential):
     def _phi_inv_deriv(self, v):
         return 1.0 / v
 
-    def _phi_prime(self, u, values):
-        return values.copy()
+    def _phi_prime(self, u, values, out):
+        out[...] = values
+        return out
 
 
 class TsallisQ(DeformedExponential):
@@ -179,8 +188,8 @@ class TsallisQ(DeformedExponential):
     def params(self):
         return {"q": self.q}
 
-    def _log_phi(self, u):
-        out = np.divide(u, self.m, out=np.empty_like(u))
+    def _log_phi(self, u, out):
+        np.divide(u, self.m, out=out)
         if out.size and not out.min() > -1.0:
             # some u/m <= -1 (or NaN): log1p gives -inf or NaN there, and
             # phi = 0 for u <= -m; NaN stays NaN
@@ -203,10 +212,10 @@ class TsallisQ(DeformedExponential):
         np.multiply(out, 1.0 / self.m - 1.0, out=out)
         return np.exp(out, out=out)
 
-    def _phi_prime(self, u, values):
+    def _phi_prime(self, u, values, out):
         # (1 + u/m)^(m-1) = phi / (1 + u/m); where phi vanishes (u <= -m) the
         # divisor becomes 1, so phi' = 0 there
-        out = np.divide(u, self.m, out=np.empty_like(u))
+        np.divide(u, self.m, out=out)
         np.add(out, 1.0, out=out)
         if values.size and not values.min() > 0.0:  # some phi = 0, or NaN
             out[values == 0.0] = 1.0
@@ -234,10 +243,11 @@ class KaniadakisKappa(DeformedExponential):
     def params(self):
         return {"kappa": self.kappa}
 
-    def _log_phi(self, u):
+    def _log_phi(self, u, out):
         if self.kappa == 0.0:
-            return u.copy()
-        out = np.multiply(u, self.kappa, out=np.empty_like(u))
+            out[...] = u
+            return out
+        np.multiply(u, self.kappa, out=out)
         np.arcsinh(out, out=out)
         return np.divide(out, self.kappa, out=out)
 
@@ -257,11 +267,12 @@ class KaniadakisKappa(DeformedExponential):
         np.cosh(out, out=out)
         return np.divide(out, v, out=out)
 
-    def _phi_prime(self, u, values):
+    def _phi_prime(self, u, values, out):
         # phi / sqrt(1 + k^2 u^2)
         if self.kappa == 0.0:
-            return values.copy()
-        out = np.multiply(u, self.kappa, out=np.empty_like(u))
+            out[...] = values
+            return out
+        np.multiply(u, self.kappa, out=out)
         with np.errstate(over="ignore"):
             np.square(out, out=out)
         np.add(out, 1.0, out=out)
@@ -285,8 +296,8 @@ class CounterexamplePhi(DeformedExponential):
 
     _LOG_SPLIT = 0.5  # log phi(0)
 
-    def _log_phi(self, u):
-        out = np.add(u, 1.0, out=np.empty_like(u))
+    def _log_phi(self, u, out):
+        np.add(u, 1.0, out=out)
         with np.errstate(over="ignore"):  # log phi = +inf for |u| > ~1.3e154; u < 0 is overwritten
             np.square(out, out=out)
         np.multiply(out, 0.5, out=out)
@@ -315,9 +326,9 @@ class CounterexamplePhi(DeformedExponential):
         np.divide(1.0, v, out=out, where=~(logv >= self._LOG_SPLIT))
         return out
 
-    def _phi_prime(self, u, values):
+    def _phi_prime(self, u, values, out):
         # phi (u + 1) for u >= 0 and phi for u <= 0
-        out = np.add(u, 1.0, out=np.empty_like(u))
+        np.add(u, 1.0, out=out)
         np.maximum(out, 1.0, out=out)
         return np.multiply(out, values, out=out)
 
@@ -371,14 +382,15 @@ class TabulatedMonotone(DeformedExponential):
         # s with x in [knots[s], knots[s + 1]]; NaN picks the last segment
         return np.searchsorted(knots[1:-1], x, side="left")
 
-    def _log_phi(self, u):
+    def _log_phi(self, u, out):
         # fmin and fmax skip NaN, which passes and gives phi = NaN
         if u.size and (np.fmin.reduce(u, axis=None) < self.u_knots[0]
                        or np.fmax.reduce(u, axis=None) > self.u_knots[-1]):
             raise DomainError(
                 f"u outside tabulated range [{self.u_knots[0]}, {self.u_knots[-1]}]"
             )
-        return np.asarray(np.interp(u, self.u_knots, self.log_knots))
+        out[...] = np.interp(u, self.u_knots, self.log_knots)
+        return out
 
     def _log_v(self, v):
         logv = np.log(v)
@@ -395,10 +407,10 @@ class TabulatedMonotone(DeformedExponential):
         # phi_inv is linear in log v on each segment: the slope du / dlog phi over v
         return self._u_per_log[self._segment_index(self.log_knots, self._log_v(v))] / v
 
-    def _phi_prime(self, u, values):
+    def _phi_prime(self, u, values, out):
         slopes = self.log_slopes[self._segment_index(self.u_knots, u)]  # NaN values stay NaN
         with np.errstate(over="ignore"):  # a phi' beyond the float range is +inf
-            return np.multiply(values, slopes, out=np.empty_like(values))
+            return np.multiply(values, slopes, out=out)
 
     @classmethod
     def from_csv(cls, path):

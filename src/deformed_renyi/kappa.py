@@ -27,14 +27,21 @@ N'(kappa) = u0 integral phi'(w) dmu, so no n-length copy of u0 is built.  A
 per-atom u0 array is validated and multiplied in as it is.
 
 A single solve is a one-alpha sweep.  A sweep computes phi^-1(p) and
-phi^-1(q) once, with one work buffer for all its solves (a single alpha
-overwrites phi^-1(p) and phi^-1(q) with the base and the work buffer), and
-starts each solve from the previous converged alpha's divergence value
-D_i = kappa_i / (alpha_i (1 - alpha_i)), that is from
-kappa = D_i alpha_{i+1} (1 - alpha_{i+1}).  D has finite limits at both
+phi^-1(q) once (a single alpha then overwrites them with its base and work
+buffer) and solves its first alpha alone, exactly as a single solve does.  It
+solves the other alphas in chunks of max(1, ENVELOPE_BLOCK // n) rows: each
+step evaluates phi, and phi' when some row takes a Newton step, once on the
+(rows, n) block of the running rows, in w, values and prime buffers that the
+sweep allocates once, and one product with the weights gives every row's N
+and N'.  The safeguarded step above is written once (_Root) and runs per row
+on Python floats.  Every alpha of a chunk starts from the divergence value
+D = kappa / (alpha (1 - alpha)) of the last converged alpha before the
+chunk, that is from kappa = D alpha (1 - alpha), or cold from kappa = 0 when
+the chunk before it has no converged alpha.  D has finite limits at both
 endpoints (the phi-divergences), so kappa vanishes at alpha = 0 and 1 and D
-varies slowly in alpha: the start costs nothing.  After an alpha that did not
-converge, the next one starts cold from kappa = 0.
+varies slowly in alpha: the start costs nothing.  A block row sums its
+integrals in another order than the 1-d dot product of a single solve, so a
+sweep's kappa can differ from the single solve's in its last bits.
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ from .measures import MeasureModel, ProbabilityPair, integrate, positive_finite
 
 KAPPA_MAX = 1e6  # a solve with N(KAPPA_MAX) < 1 reports BRACKET_FAILURE
 MAX_ITER = 400   # N evaluations per solve
+# elements of one (rows, n) block, shared by the sweep's chunks of alphas and
+# the existence module's envelope check: each temporary stays near 256 KiB
+ENVELOPE_BLOCK = 2 ** 15
 
 
 class SolveStatus(str, Enum):
@@ -89,8 +99,9 @@ def _resolve_u0(u0, measure: MeasureModel):
     return arr
 
 
-def _interpolate(inv_p, inv_q, alpha: float, out, rest):
-    """alpha inv_p + (1-alpha) inv_q into out, using rest as scratch."""
+def _interpolate(inv_p, inv_q, alpha, out, rest):
+    """alpha inv_p + (1-alpha) inv_q into out, using rest as scratch; alpha
+    is a float, or a (rows, 1) column of them for a (rows, n) out."""
     np.multiply(inv_p, alpha, out=out)
     np.multiply(inv_q, 1.0 - alpha, out=rest)
     return np.add(out, rest, out=out)
@@ -105,22 +116,13 @@ def interpolation_base(family: DeformedExponential, pair: ProbabilityPair, alpha
     return _interpolate(inv_p, inv_q, alpha, out=inv_p, rest=inv_q)
 
 
-def _integrand(family: DeformedExponential, base, u0, kappa: float, work) -> np.ndarray:
-    """phi(base + kappa u0), a fresh array; base + kappa u0 is formed in the
-    caller's work buffer, which is overwritten.  u0 is a float or an array."""
+def _shift(base, u0, kappa, out):
+    """base + kappa u0 into out.  u0 is a float or a per-atom array; kappa is
+    a float, or a (rows, 1) column beside a (rows, n) base."""
     if isinstance(u0, float):
-        np.add(base, u0 * kappa, out=work)
-    else:
-        np.multiply(u0, kappa, out=work)
-        np.add(base, work, out=work)
-    return family.phi(work)
-
-
-def _u0_integral(measure: MeasureModel, f, u0) -> float:
-    """integral f u0 dmu; f is overwritten.  u0 is a float or an array."""
-    if isinstance(u0, float):
-        return u0 * integrate(measure, f)
-    return integrate(measure, np.multiply(f, u0, out=f))
+        return np.add(base, u0 * kappa, out=out)
+    np.multiply(u0, kappa, out=out)
+    return np.add(base, out, out=out)
 
 
 def normalization_functional(
@@ -135,86 +137,162 @@ def normalization_functional(
         raise ValueError("kappa must be finite")
     u0 = _resolve_u0(u0, pair.measure)
     base = interpolation_base(family, pair, alpha)
-    return integrate(pair.measure, _integrand(family, base, u0, kappa, np.empty_like(base)))
+    return integrate(pair.measure, family.phi(_shift(base, u0, kappa, np.empty_like(base))))
 
 
-def _solve(family, measure, alpha, base, u0, tol, guess, work):
-    """Solve N(kappa) = 1 from kappa = guess, or from 0 (a cold start) when
-    guess is not inside (0, KAPPA_MAX).
+class _Root:
+    """The safeguarded Newton-on-log-N solve of one alpha, on Python floats.
 
-    A warm start leaves N(0) unevaluated: lo = 0 is then a bound by convexity
-    alone, and it is evaluated, with the cold-start checks, before the first
-    fallback step.  w = base + kappa u0 is formed in work, which is overwritten.
+    The solver evaluates N at `kappa` and hands the value to `observe`; when
+    the solve goes on, it hands N'(kappa) (NaN when not evaluated) to `move`,
+    which picks the next `kappa`.  `result` is set once the solve has ended.
+    A start `guess` inside (0, KAPPA_MAX) is warm and leaves N(0)
+    unevaluated: lo = 0 is then a bound by convexity alone, and it is
+    evaluated, with the cold-start checks, before the first fallback step.
     """
-    evals = 0
-    lo, n_lo = 0.0, None           # n_lo is None until N(0) is evaluated
-    hi, n_hi = math.inf, None      # n_hi is None until some N >= 1 is seen
-    best_k, best_r = math.nan, math.inf
-    kappa = guess if 0.0 < guess < KAPPA_MAX else 0.0
-    step_1 = step_2 = math.inf     # lengths of the last step and the one before it
-    while True:
-        evals += 1
-        values = None  # frees the previous point's phi(w) before phi allocates
-        values = _integrand(family, base, u0, kappa, work)
-        n = integrate(measure, values)
+
+    __slots__ = ("alpha", "kappa", "n", "evals", "lo", "n_lo", "hi", "n_hi",
+                 "best_k", "best_r", "step_1", "step_2", "result")
+
+    def __init__(self, alpha: float, guess: float):
+        self.alpha = alpha
+        self.kappa = guess if 0.0 < guess < KAPPA_MAX else 0.0
+        self.n = math.nan
+        self.evals = 0
+        self.lo, self.n_lo = 0.0, None        # n_lo is None until N(0) is evaluated
+        self.hi, self.n_hi = math.inf, None   # n_hi is None until some N >= 1 is seen
+        self.best_k, self.best_r = math.nan, math.inf
+        self.step_1 = self.step_2 = math.inf  # lengths of the last step and the one before it
+        self.result = None
+
+    def observe(self, n: float, tol: float) -> bool:
+        """Take N at kappa; True when the solve has ended.  Raises
+        ArithmeticError on NaN and ValueError when N(0) > 1."""
+        self.evals += 1
+        kappa = self.kappa
         if math.isnan(n):
-            raise ArithmeticError(f"N(kappa) is NaN at kappa = {kappa!r} (alpha = {alpha!r})")
+            raise ArithmeticError(f"N(kappa) is NaN at kappa = {kappa!r} (alpha = {self.alpha!r})")
         r = n - 1.0
         if kappa == 0.0:
-            n_lo = n
+            self.n_lo = n
             if abs(r) <= tol:
                 # includes p = q, where the integrand collapses to p and kappa = 0 exactly
-                return KappaSolveResult(alpha, 0.0, r, (0.0, 0.0), evals, SolveStatus.CONVERGED)
+                self.result = KappaSolveResult(self.alpha, 0.0, r, (0.0, 0.0), self.evals, SolveStatus.CONVERGED)
+                return True
             if n > 1.0:
                 raise ValueError(f"N(0) = {n} > 1; phi is not convex on the data or the pair is invalid")
         elif n < 1.0:
-            lo, n_lo = kappa, n
+            self.lo, self.n_lo = kappa, n
         else:
-            hi, n_hi = kappa, n
+            self.hi, self.n_hi = kappa, n
         if abs(r) <= tol:
-            bracket = (lo, hi if n_hi is not None else kappa)
-            return KappaSolveResult(alpha, kappa, r, bracket, evals, SolveStatus.CONVERGED)
-        if abs(r) < abs(best_r):
-            best_k, best_r = kappa, r
-        if evals >= MAX_ITER:
-            break
+            bracket = (self.lo, self.hi if self.n_hi is not None else kappa)
+            self.result = KappaSolveResult(self.alpha, kappa, r, bracket, self.evals, SolveStatus.CONVERGED)
+            return True
+        if abs(r) < abs(self.best_r):
+            self.best_k, self.best_r = kappa, r
+        if self.evals >= MAX_ITER:
+            return self._stall()
+        self.n = n
+        return False
 
+    def move(self, slope: float) -> bool:
+        """Step from kappa given N'(kappa): Newton on log N, else expansion
+        or bisection; True when the solve has ended."""
+        n, kappa, lo, hi = self.n, self.kappa, self.lo, self.hi
         step = math.nan
-        if 0.0 < n < math.inf:
-            # Newton on log N: phi'(w) from w and phi(w), then N'(kappa)
-            slope = _u0_integral(measure, family._phi_prime(work, values), u0)
-            if 0.0 < slope < math.inf:
-                step = -math.log(n) * (n / slope)
+        if 0.0 < n < math.inf and 0.0 < slope < math.inf:
+            step = -math.log(n) * (n / slope)
         nxt = kappa + step
-        if n_hi is None:
+        if self.n_hi is None:
             # no point with N >= 1 yet: the Newton step from below, or expansion
             if not lo < nxt <= KAPPA_MAX:
                 if lo >= KAPPA_MAX:
-                    return KappaSolveResult(
-                        alpha, math.inf, n_lo - 1.0, (KAPPA_MAX, math.inf), evals,
-                        SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
+                    self.result = KappaSolveResult(
+                        self.alpha, math.inf, self.n_lo - 1.0, (KAPPA_MAX, math.inf), self.evals,
+                        SolveStatus.BRACKET_FAILURE, last_finite=(lo, self.n_lo),
                     )
+                    return True
                 nxt = min(max(2.0 * lo, 1.0), KAPPA_MAX)
-        elif not (lo < nxt < hi and abs(step) <= 0.5 * step_2):
-            if n_lo is None:
+        elif not (lo < nxt < hi and abs(step) <= 0.5 * self.step_2):
+            if self.n_lo is None:
                 nxt = 0.0
             else:
                 nxt = 0.5 * (lo + hi)
                 if not lo < nxt < hi:
-                    break  # float subdivision exhausted
-        step_2, step_1 = step_1, abs(nxt - kappa)
-        kappa = nxt
+                    return self._stall()  # float subdivision exhausted
+        self.step_2, self.step_1 = self.step_1, abs(nxt - kappa)
+        self.kappa = nxt
+        return False
 
-    if n_hi == math.inf:
-        # N jumps from below 1 to +inf: the defining equation has no root
-        return KappaSolveResult(
-            alpha, math.inf, n_lo - 1.0, (lo, hi), evals,
-            SolveStatus.DIVERGENT_INTEGRAL, last_finite=(lo, n_lo),
-        )
-    return KappaSolveResult(
-        alpha, best_k, best_r, (lo, hi), evals,
-        SolveStatus.BRACKET_FAILURE, last_finite=(lo, n_lo),
-    )
+    def _stall(self) -> bool:
+        """End a solve that ran out of evaluations or of floats in its bracket."""
+        if self.n_hi == math.inf:
+            # N jumps from below 1 to +inf: the defining equation has no root
+            self.result = KappaSolveResult(
+                self.alpha, math.inf, self.n_lo - 1.0, (self.lo, self.hi), self.evals,
+                SolveStatus.DIVERGENT_INTEGRAL, last_finite=(self.lo, self.n_lo),
+            )
+        else:
+            self.result = KappaSolveResult(
+                self.alpha, self.best_k, self.best_r, (self.lo, self.hi), self.evals,
+                SolveStatus.BRACKET_FAILURE, last_finite=(self.lo, self.n_lo),
+            )
+        return True
+
+
+def _solve(family, measure, u0, tol, roots, base, w, values, prime):
+    """Run each root's solve (see _Root) to its end.
+
+    base holds alpha phi^-1(p) + (1-alpha) phi^-1(q) per root: one (n,) array
+    for a single root, else a (rows, n) block whose leading rows follow the
+    roots still running, compacted in place as roots end.  w, values and
+    prime are work buffers of base's shape.  Each step evaluates N on every
+    running root with one phi call and one product with the weights, then N'
+    the same way when some root takes a Newton step.  A single root gets the
+    1-d dot product that integrate computes, so its kappa is bit for bit the
+    one-alpha solve's; a block row may differ from it in the last bits.
+    """
+    weights = measure.weights
+    if base.ndim == 1:
+        root, = roots
+        while True:
+            _shift(base, u0, root.kappa, w)
+            n = float(weights @ family._phi(w, values))
+            if root.observe(integrate(measure, values) if math.isnan(n) else n, tol):
+                return
+            slope = math.nan
+            if 0.0 < root.n < math.inf:
+                # Newton on log N: phi'(w) from w and phi(w), then N'(kappa)
+                slope = float(_u0_integral(weights, family._phi_prime(w, values, prime), u0))
+            if root.move(slope):
+                return
+    while roots:
+        k = len(roots)
+        b, wk, vk, pk = base[:k], w[:k], values[:k], prime[:k]
+        _shift(b, u0, np.array([root.kappa for root in roots])[:, None], wk)
+        ns = (family._phi(wk, vk) @ weights).tolist()
+        for i in [i for i, n in enumerate(ns) if math.isnan(n)]:
+            ns[i] = integrate(measure, vk[i])  # integrate's +inf rule
+        going = [not root.observe(n, tol) for root, n in zip(roots, ns)]
+        slopes = [math.nan] * k
+        if any(g and 0.0 < root.n < math.inf for g, root in zip(going, roots)):
+            # rows that have ended, or whose N is not finite, may warn here;
+            # their slopes are never read
+            with np.errstate(invalid="ignore", over="ignore"):
+                slopes = _u0_integral(weights, family._phi_prime(wk, vk, pk), u0).tolist()
+        keep = [i for i in range(k) if going[i] and not roots[i].move(slopes[i])]
+        if len(keep) < k:
+            base[:len(keep)] = b[keep]
+            roots = [roots[i] for i in keep]
+
+
+def _u0_integral(weights, f, u0):
+    """integral f u0 dmu on f's last axis; f is overwritten.  u0 is a float
+    or an array."""
+    if isinstance(u0, float):
+        return u0 * (f @ weights)
+    return np.multiply(f, u0, out=f) @ weights
 
 
 def solve_kappa(
@@ -226,8 +304,7 @@ def solve_kappa(
 ) -> KappaSolveResult:
     """Solve N(kappa) = 1 for kappa >= 0 by safeguarded Newton iteration on
     log N from kappa = 0, with geometric bracket expansion from [0, 1] and
-    bisection as the fallbacks (see the module docstring): a one-alpha sweep,
-    which overwrites phi^-1(p) and phi^-1(q) in place.
+    bisection as the fallbacks (see the module docstring): a one-alpha sweep.
 
     Returns CONVERGED with |N(kappa) - 1| <= tol, DIVERGENT_INTEGRAL when N
     jumps from below 1 to +inf (no root exists), or BRACKET_FAILURE when
@@ -240,10 +317,15 @@ def solve_kappa(
 
 
 def _sweep_kappa(family, pair, alphas, u0, tol):
-    """solve_kappa at each alpha, in order, with phi^-1(p) and phi^-1(q)
-    computed once and one work buffer; each alpha after a converged one starts
-    from the previous divergence value, each other alpha from kappa = 0.  A
-    single alpha overwrites phi^-1(p) and phi^-1(q), which nothing reads again."""
+    """solve_kappa at each alpha, with phi^-1(p) and phi^-1(q) computed once.
+
+    The first alpha is solved alone, as solve_kappa solves it; the rest go in
+    chunks of max(1, ENVELOPE_BLOCK // n) alphas, solved together by _solve
+    in buffers allocated once.  Every alpha of a chunk starts from the
+    divergence value of the last converged alpha before the chunk, or from
+    kappa = 0 when the chunk before it has none.  A single alpha solves in
+    the inverse images' own memory.
+    """
     alphas = [float(a) for a in alphas]
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
@@ -253,15 +335,30 @@ def _sweep_kappa(family, pair, alphas, u0, tol):
     u0 = _resolve_u0(u0, pair.measure)
     inv_p = family.phi_inv(pair.p)
     inv_q = family.phi_inv(pair.q)
-    base, work = (inv_p, inv_q) if len(alphas) == 1 else (np.empty_like(inv_p), np.empty_like(inv_p))
-    results = []
-    divergence = 0.0
-    for alpha in alphas:
-        scale = alpha * (1.0 - alpha)  # kappa = D alpha (1 - alpha)
-        _interpolate(inv_p, inv_q, alpha, out=base, rest=work)
-        result = _solve(family, pair.measure, alpha, base, u0, tol, divergence * scale, work)
-        results.append(result)
-        divergence = result.kappa / scale if result.status is SolveStatus.CONVERGED else 0.0
+    n = inv_p.size
+    rows = max(1, min(ENVELOPE_BLOCK // n, len(alphas) - 1))
+    first = _Root(alphas[0], 0.0)
+    if len(alphas) == 1:
+        base, w, values, prime = inv_p, inv_q, np.empty(n), np.empty(n)
+    else:
+        # one allocation rather than four: the allocator then reuses it for
+        # the next sweep of this size without new page faults
+        blocks = np.empty((4, rows, n))
+        base, w, values, prime = blocks[:, 0]
+    _interpolate(inv_p, inv_q, first.alpha, out=base, rest=w)
+    _solve(family, pair.measure, u0, tol, [first], base, w, values, prime)
+    previous = [first.result]
+    results = list(previous)
+    for start in range(1, len(alphas), rows):
+        chunk = alphas[start:start + rows]
+        divergence = next((r.kappa / (r.alpha * (1.0 - r.alpha)) for r in reversed(previous)
+                           if r.status is SolveStatus.CONVERGED), 0.0)
+        roots = [_Root(alpha, divergence * (alpha * (1.0 - alpha))) for alpha in chunk]
+        base, w, values, prime = blocks[:, :len(chunk)]
+        _interpolate(inv_p, inv_q, np.array(chunk)[:, None], out=base, rest=w)
+        _solve(family, pair.measure, u0, tol, roots, base, w, values, prime)
+        previous = [root.result for root in roots]
+        results += previous
     return results
 
 

@@ -65,7 +65,7 @@ class TestEvaluation:
             np.testing.assert_array_equal(getattr(k0, name)(u), getattr(exp, name)(u))
         for name in ("phi_inv", "phi_inv_deriv"):
             np.testing.assert_array_equal(getattr(k0, name)(v), getattr(exp, name)(v))
-        np.testing.assert_array_equal(k0._phi_prime(u, v), exp._phi_prime(u, v))
+        np.testing.assert_array_equal(k0._phi_prime(u, v, np.empty_like(u)), exp._phi_prime(u, v, np.empty_like(u)))
 
     def test_kaniadakis_unit_param_at_zero(self):
         assert KaniadakisKappa(1.0).phi(0.0) == 1.0

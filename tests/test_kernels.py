@@ -1,6 +1,7 @@
 """The kernel contract behind N(kappa): phi saturates its own fresh output,
-the family hooks never touch their input, phi' comes from u and phi(u) alone,
-integrate's +inf rule, and the shared read-only counting weights."""
+the family hooks write into the buffer they are given and never touch their
+input, phi' comes from u and phi(u) alone, integrate's +inf rule, and the
+shared read-only counting weights."""
 
 import dataclasses
 import math
@@ -12,9 +13,11 @@ from deformed_renyi.families import (
     BUILTIN_FAMILIES,
     LOG_PHI_MAX,
     ClassicalExp,
+    CounterexamplePhi,
     DomainError,
     KaniadakisKappa,
     TabulatedMonotone,
+    TsallisQ,
     parse_family_spec,
 )
 from deformed_renyi.kappa import normalization_functional
@@ -157,7 +160,7 @@ class TestSaturation:
         np.testing.assert_allclose(log_phi, [math.nan, -np.inf, -np.inf, 0.0, m * math.log(2.0), math.nan], rtol=1e-15)
         values = np.asarray(family.phi(u))
         np.testing.assert_allclose(values, [math.nan, 0.0, 0.0, 1.0, 2.0 ** m, math.nan], rtol=1e-15)
-        got = family._phi_prime(u, values)
+        got = family._phi_prime(u, values, np.empty_like(u))
         np.testing.assert_allclose(got, [math.nan, 0.0, 0.0, 1.0, 2.0 ** (m - 1.0), math.nan], rtol=1e-15)
         assert got[1] == 0.0 and got[2] == 0.0
 
@@ -165,7 +168,7 @@ class TestSaturation:
 def phi_prime(family, u):
     """The _phi_prime hook at u, fed the saturated phi(u) as the solver does."""
     u = np.asarray(u, dtype=float)
-    return family._phi_prime(u, np.asarray(family.phi(u)))
+    return family._phi_prime(u, np.asarray(family.phi(u)), np.empty_like(u))
 
 
 def _prime_grid(family):
@@ -220,7 +223,7 @@ class TestPhiPrime:
         u = np.array([-np.inf, -m - 1.0, -m, np.nextafter(-m, 0.0), -m + 0.5])
         values = np.asarray(family.phi(u))
         np.testing.assert_array_equal(values[:3], 0.0)
-        got = family._phi_prime(u, values)
+        got = family._phi_prime(u, values, np.empty_like(u))
         np.testing.assert_array_equal(got[:3], 0.0)
         np.testing.assert_allclose(got[3:], (1.0 + u[3:] / m) ** (m - 1.0), rtol=1e-12)
 
@@ -232,7 +235,7 @@ class TestPhiPrime:
         u = np.array([1e160, 1e170, 1.0, -1e170])
         values = np.asarray(family.phi(u))
         assert np.all(np.isfinite(values)) and np.all(values[:3] > 0)
-        got = family._phi_prime(u, values)
+        got = family._phi_prime(u, values, np.empty_like(u))
         np.testing.assert_allclose(got[:3], 1.0 / np.asarray(family.phi_inv_deriv(values[:3])), rtol=1e-12)
         assert got[3] == 0.0
 
@@ -241,13 +244,13 @@ class TestPhiPrime:
         u = _prime_grid(family)
         values = np.asarray(family.phi(u))
         u_before, values_before = u.copy(), values.copy()
-        got = family._phi_prime(u, values)
+        got = family._phi_prime(u, values, np.empty_like(u))
         assert isinstance(got, np.ndarray) and got.shape == u.shape and got.dtype == float
         assert not np.shares_memory(got, u) and not np.shares_memory(got, values)
         np.testing.assert_array_equal(u, u_before)
         np.testing.assert_array_equal(values, values_before)
         for i in range(0, u.size, 20):
-            scalar = family._phi_prime(np.array(u[i]), np.array(values[i]))
+            scalar = family._phi_prime(np.array(u[i]), np.array(values[i]), np.empty(()))
             assert isinstance(scalar, np.ndarray) and scalar.shape == ()
             assert np.array_equal(scalar, got[i], equal_nan=True)
 
@@ -257,7 +260,7 @@ class TestPhiPrime:
         u = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
         slope = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 0.0, 0.0]) * math.log(2.0)
         values = np.asarray(family.phi(u))
-        np.testing.assert_allclose(family._phi_prime(u, values), values * slope, rtol=1e-15)
+        np.testing.assert_allclose(family._phi_prime(u, values, np.empty_like(u)), values * slope, rtol=1e-15)
         with pytest.raises(DomainError):
             family.phi_inv_deriv(2.0)  # the inverse side cannot differentiate a flat value
 
@@ -266,7 +269,7 @@ class TestPhiPrime:
         values = np.asarray(family.phi(u))
         knots = family.u_knots
         segment = np.clip(np.searchsorted(knots, u, side="left"), 1, knots.size - 1) - 1
-        np.testing.assert_array_equal(family._phi_prime(u, values), values * family.log_slopes[segment])
+        np.testing.assert_array_equal(family._phi_prime(u, values, np.empty_like(u)), values * family.log_slopes[segment])
 
     def test_tabulated_exp_knots_and_midpoints(self):
         self._assert_phi_times_left_segment_slope(TABULATED_EXP, _prime_grid(TABULATED_EXP))
@@ -276,6 +279,74 @@ class TestPhiPrime:
         family = TabulatedMonotone(list(zip(knots, np.asarray(KaniadakisKappa(0.5).phi(knots)))))
         u = np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:]), [np.nan]])
         self._assert_phi_times_left_segment_slope(family, u)
+
+
+def fresh_log_phi(family, u):
+    """log phi(u) from each family's closed form, in fresh arrays."""
+    if isinstance(family, TabulatedMonotone):
+        return np.interp(u, family.u_knots, family.log_knots)
+    if isinstance(family, TsallisQ):
+        out = np.log1p(u / family.m)
+        out[u <= -family.m] = -np.inf
+        return out * family.m
+    if isinstance(family, KaniadakisKappa) and family.kappa != 0.0:
+        return np.arcsinh(u * family.kappa) / family.kappa
+    if isinstance(family, CounterexamplePhi):
+        return np.where(u >= 0.0, np.square(u + 1.0) * 0.5, u + 0.5)
+    return u.copy()
+
+
+def fresh_phi_prime(family, u, values):
+    """phi'(u) from u and values = phi(u), in fresh arrays."""
+    if isinstance(family, TabulatedMonotone):
+        return values * family.log_slopes[np.searchsorted(family.u_knots[1:-1], u, side="left")]
+    if isinstance(family, TsallisQ):
+        return values / np.where(values == 0.0, 1.0, u / family.m + 1.0)
+    if isinstance(family, KaniadakisKappa) and family.kappa != 0.0:
+        root = np.sqrt(np.square(u * family.kappa) + 1.0)
+        root[np.isinf(root)] = np.abs(u * family.kappa)[np.isinf(root)]
+        return values / root
+    if isinstance(family, CounterexamplePhi):
+        return np.maximum(u + 1.0, 1.0) * values
+    return values.copy()
+
+
+class TestBufferContract:
+    """_log_phi(u, out) and _phi_prime(u, values, out) write into out and
+    return it, as the kappa solve's buffers need: the same bits as the
+    closed forms in fresh arrays, whatever out held, on 1-d grids, (rows, n)
+    blocks and 0-d arrays, and u and values stay untouched."""
+
+    @staticmethod
+    def _check(hook, inputs, expected):
+        before = [x.copy() for x in inputs]
+        out = np.full_like(inputs[0], 7.0)
+        with np.errstate(all="ignore"):
+            got = hook(*inputs, out)
+        assert got is out
+        np.testing.assert_array_equal(out, expected)
+        for x, x_before in zip(inputs, before):
+            np.testing.assert_array_equal(x, x_before)
+
+    @pytest.mark.parametrize("family", FAMILIES + [KaniadakisKappa(0.0), KaniadakisKappa(1.0)],
+                             ids=FAMILY_IDS + ["kaniadakis:0", "kaniadakis:1"])
+    def test_hooks_fill_out(self, family):
+        u = np.concatenate([_prime_grid(family), [np.nan]])
+        if family is not TABULATED_EXP:
+            u = np.concatenate([u, [1e160, -1e160, 1e200]])
+        with np.errstate(all="ignore"):
+            values = np.asarray(family.phi(u))
+            log_phi = fresh_log_phi(family, u)
+            prime = fresh_phi_prime(family, u, values)
+        rows = u.size // 3 * 3
+        for shape in ((u.size,), (3, rows // 3)):
+            take = slice(u.size if len(shape) == 1 else rows)
+            args = [x[take].reshape(shape) for x in (u, values)]
+            self._check(family._log_phi, args[:1], log_phi[take].reshape(shape))
+            self._check(family._phi_prime, args, prime[take].reshape(shape))
+        for i in range(0, u.size, 11):
+            self._check(family._log_phi, [np.array(u[i])], log_phi[i])
+            self._check(family._phi_prime, [np.array(u[i]), np.array(values[i])], prime[i])
 
 
 class TestIntegrateInfRule:

@@ -114,15 +114,17 @@ def test_warm_start_above_the_root_falls_back_to_n_at_zero(monkeypatch):
     pair, _ = problem("counting", 50)
     cold = solve_kappa(family, pair, 0.5, tol=TOL)
     kappas = []
-    integrand = kappa_module._integrand
+    observe = kappa_module._Root.observe
 
-    def spy(family, base, u0, kappa, work):
-        kappas.append(kappa)
-        return integrand(family, base, u0, kappa, work)
+    def spy(root, n, tol):
+        kappas.append(root.kappa)
+        return observe(root, n, tol)
 
-    monkeypatch.setattr(kappa_module, "_integrand", spy)
+    monkeypatch.setattr(kappa_module._Root, "observe", spy)
     base = interpolation_base(family, pair, 0.5)
-    result = kappa_module._solve(family, pair.measure, 0.5, base, 1.0, TOL, 10.0, np.empty_like(base))
+    root = kappa_module._Root(0.5, 10.0)
+    kappa_module._solve(family, pair.measure, 1.0, TOL, [root], base, *np.empty((3, base.size)))
+    result = root.result
     assert kappas[:2] == [10.0, 0.0]
     assert result.status is SolveStatus.CONVERGED
     assert result.kappa == cold.kappa
@@ -181,8 +183,8 @@ class NanAbove(ClassicalExp):
     """exp whose log phi is NaN above u = -0.35, so that N(kappa) is NaN for
     kappa above ~0.05 on PAIR at alpha 0.5, below the root 0.1116."""
 
-    def _log_phi(self, u):
-        out = u.copy()
+    def _log_phi(self, u, out):
+        np.copyto(out, u)
         out[u > -0.35] = np.nan
         return out
 
