@@ -10,7 +10,10 @@ NaN.
 
 Every subcommand takes --out (write to a file instead of stdout); divergence,
 kappa and sweep also take --tol (solver tolerance on the normalization
-residual), and probe takes --strict.
+residual).  Each probe kind takes only the options it reads: probe ratio
+takes --lambda0, --umax, --threshold and --strict, probe inequality takes
+--alpha, --u0-value and --ugrid, and probe envelope takes --lambda0,
+--bound-k, --c, --ugrid and --vgrid, beside --family and --out.
 
 Exit codes: 0 success, 2 validation error, 3 divergent integral or bracket
 failure, 4 inconclusive probe under --strict, 64 usage error.
@@ -273,20 +276,30 @@ def build_parser() -> _Parser:
     p.add_argument("--alphas", default="0.05:0.95:19", help="comma list or lo:hi:n grid")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("probe", parents=[common], help="existence-condition probes")
-    p.add_argument("kind", choices=["ratio", "inequality", "envelope"])
-    p.add_argument("--strict", action="store_true", help="exit 4 on inconclusive probe verdicts")
-    p.add_argument("--family", required=True)
+    p = sub.add_parser("probe", help="existence-condition probes")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    probe = argparse.ArgumentParser(add_help=False, parents=[common])
+    probe.add_argument("--family", required=True)
+    probe.set_defaults(func=_cmd_probe)
+    ugrid = f"lo:hi:n (default {UGRID_DEFAULT}, clipped to a tabulated family's range)"
+
+    p = kinds.add_parser("ratio", parents=[probe], help="sample phi(u)/phi(u - lambda0) up to --umax")
     p.add_argument("--lambda0", type=float, default=1.0)
     p.add_argument("--umax", type=float, default=200.0)
     p.add_argument("--threshold", type=float, default=1e12)
+    p.add_argument("--strict", action="store_true", help="exit 4 on an inconclusive verdict")
+
+    p = kinds.add_parser("inequality", parents=[probe], help="largest u where alpha phi(u) > phi(u - u0)")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--u0-value", type=float, default=1.0)
+    p.add_argument("--ugrid", help=ugrid)
+
+    p = kinds.add_parser("envelope", parents=[probe], help="check phi(u + v) <= K phi(u) e^(lam v) on a grid")
+    p.add_argument("--lambda0", type=float, default=1.0)
     p.add_argument("--bound-k", type=float, default=math.e)
     p.add_argument("--c", type=float, default=-math.inf)
-    p.add_argument("--ugrid", help=f"lo:hi:n (default {UGRID_DEFAULT}, clipped to a tabulated family's range)")
+    p.add_argument("--ugrid", help=ugrid)
     p.add_argument("--vgrid", help=f"lo:hi:n (default {VGRID_DEFAULT}, clipped to a tabulated family's range)")
-    p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("construct-u0", parents=[common], help="build a shift sequence for the counting measure")
     p.add_argument("--family", required=True)

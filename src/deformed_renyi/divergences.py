@@ -122,9 +122,10 @@ def phi_divergence(family: DeformedExponential, pair: ProbabilityPair, u0=1.0) -
     """
     u0 = _resolve_u0(u0, pair.measure)
     # the pair's densities are already checked positive and finite
-    inv_p = family._phi_inv(pair.p)
-    inv_q = family._phi_inv(pair.q)
-    slope = np.asarray(family.phi_inv_deriv(pair.p))
+    n = pair.measure.size
+    inv_p = family._phi_inv(pair.p, np.empty(n))
+    inv_q = family._phi_inv(pair.q, np.empty(n))
+    slope = family._phi_inv_deriv(pair.p, np.empty(n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         numerator = integrate(pair.measure, (inv_p - inv_q) / slope)
         denominator = integrate(pair.measure, u0 / slope)

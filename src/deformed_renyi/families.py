@@ -54,17 +54,21 @@ class DeformedExponential:
     """Base interface. Subclasses are immutable and safe to share across threads.
 
     The public maps accept scalars or arrays and return a float for a scalar
-    input.  Subclasses implement only four array hooks: _log_phi, _phi_inv,
-    _phi_inv_deriv and _phi_prime.  The two inverse hooks receive float arrays
-    with v > 0 and return a fresh float array of the input's shape.
-    _log_phi(u, out) writes log phi(u) into out and returns out.
-    _phi_prime(u, values, out) receives u and values = phi(u) (as saturated by
-    phi), writes phi'(u) into out by cheap algebra on the two and returns out,
-    so the kappa solve gets N'(kappa) without another transcendental pass: 0
-    wherever phi(u) = 0, NaN where u is NaN, and a one-sided derivative at a
-    kink.  out is a float array of u's shape (0-d included, or a (rows, n)
-    block) that aliases neither u nor values, and no hook writes into its
-    inputs, so the kappa solve can reuse its own buffers at every step.
+    input: each converts its argument, checks v > 0 for the two inverse maps,
+    and calls its hook on a fresh np.empty of the argument's shape.
+    Subclasses implement only four array hooks, and all four write their
+    result into the caller's out and return it: _log_phi(u, out) log phi(u),
+    _phi_inv(v, out) phi^-1(v), _phi_inv_deriv(v, out) (phi^-1)'(v), and
+    _phi_prime(u, values, out) phi'(u).  The inverse hooks receive v > 0 and
+    do not check it, so library code holding densities that are already
+    validated (a ProbabilityPair's) calls them directly.  _phi_prime receives
+    u and values = phi(u) (as saturated by phi) and computes phi'(u) by cheap
+    algebra on the two, so the kappa solve gets N'(kappa) without another
+    transcendental pass: 0 wherever phi(u) = 0, NaN where u is NaN, and a
+    one-sided derivative at a kink.  out is a float array of the first
+    argument's shape (0-d included, or a (rows, n) block) that aliases no
+    input, and no hook writes into its inputs, so the kappa solve can reuse
+    its own buffers at every step.
     _phi_inv_deriv is its own hook, not 1 / _phi_prime(_phi_inv(v), v): for
     Tsallis, 1 + u/m cancels near the bottom of the support, which costs up
     to 2e-5 relative accuracy at v = 1e-12.
@@ -102,20 +106,20 @@ class DeformedExponential:
 
     def phi_inv(self, v):
         v = self._check_positive(v)
-        return _scalar_like(v, self._phi_inv(v))
+        return _scalar_like(v, self._phi_inv(v, np.empty(v.shape)))
 
     def phi_inv_deriv(self, v):
         """(phi^-1)'(v) = 1 / phi'(phi^-1(v)) > 0."""
         v = self._check_positive(v)
-        return _scalar_like(v, self._phi_inv_deriv(v))
+        return _scalar_like(v, self._phi_inv_deriv(v, np.empty(v.shape)))
 
     def _log_phi(self, u, out):
         raise NotImplementedError
 
-    def _phi_inv(self, v):
+    def _phi_inv(self, v, out):
         raise NotImplementedError
 
-    def _phi_inv_deriv(self, v):
+    def _phi_inv_deriv(self, v, out):
         raise NotImplementedError
 
     def _phi_prime(self, u, values, out):
@@ -152,11 +156,11 @@ class ClassicalExp(DeformedExponential):
         out[...] = u
         return out
 
-    def _phi_inv(self, v):
-        return np.log(v)
+    def _phi_inv(self, v, out):
+        return np.log(v, out=out)
 
-    def _phi_inv_deriv(self, v):
-        return 1.0 / v
+    def _phi_inv_deriv(self, v, out):
+        return np.divide(1.0, v, out=out)
 
     def _phi_prime(self, u, values, out):
         out[...] = values
@@ -200,15 +204,15 @@ class TsallisQ(DeformedExponential):
             np.log1p(out, out=out)
         return np.multiply(out, self.m, out=out)
 
-    def _phi_inv(self, v):
+    def _phi_inv(self, v, out):
         # inverse of (1 + u/m)^m, equal to the q-logarithm of the effective q
-        out = np.log(v, out=np.empty_like(v))
+        np.log(v, out=out)
         np.divide(out, self.m, out=out)
         np.expm1(out, out=out)
         return np.multiply(out, self.m, out=out)
 
-    def _phi_inv_deriv(self, v):
-        out = np.log(v, out=np.empty_like(v))
+    def _phi_inv_deriv(self, v, out):
+        np.log(v, out=out)
         np.multiply(out, 1.0 / self.m - 1.0, out=out)
         return np.exp(out, out=out)
 
@@ -251,18 +255,18 @@ class KaniadakisKappa(DeformedExponential):
         np.arcsinh(out, out=out)
         return np.divide(out, self.kappa, out=out)
 
-    def _phi_inv(self, v):
-        out = np.log(v, out=np.empty_like(v))
+    def _phi_inv(self, v, out):
+        np.log(v, out=out)
         if self.kappa == 0.0:
             return out
         np.multiply(out, self.kappa, out=out)
         np.sinh(out, out=out)
         return np.divide(out, self.kappa, out=out)
 
-    def _phi_inv_deriv(self, v):
+    def _phi_inv_deriv(self, v, out):
         if self.kappa == 0.0:
-            return np.divide(1.0, v, out=np.empty_like(v))
-        out = np.log(v, out=np.empty_like(v))
+            return np.divide(1.0, v, out=out)
+        np.log(v, out=out)
         np.multiply(out, self.kappa, out=out)
         np.cosh(out, out=out)
         return np.divide(out, v, out=out)
@@ -304,9 +308,9 @@ class CounterexamplePhi(DeformedExponential):
         np.add(u, 0.5, out=out, where=~(u >= 0.0))
         return out
 
-    def _phi_inv(self, v):
-        logv = np.log(v, out=np.empty_like(v))
-        out = np.multiply(logv, 2.0, out=np.empty_like(v))
+    def _phi_inv(self, v, out):
+        logv = np.log(v)
+        np.multiply(logv, 2.0, out=out)
         np.maximum(out, 0.0, out=out)
         with np.errstate(invalid="ignore"):
             np.sqrt(out, out=out)
@@ -314,10 +318,10 @@ class CounterexamplePhi(DeformedExponential):
         np.subtract(logv, 0.5, out=out, where=~(logv >= self._LOG_SPLIT))
         return out
 
-    def _phi_inv_deriv(self, v):
+    def _phi_inv_deriv(self, v, out):
         # at the branch junction v = e^(1/2) both branches give 1/v
-        logv = np.log(v, out=np.empty_like(v))
-        out = np.multiply(logv, 2.0, out=np.empty_like(v))
+        logv = np.log(v)
+        np.multiply(logv, 2.0, out=out)
         np.maximum(out, 1.0e-300, out=out)
         with np.errstate(invalid="ignore", divide="ignore"):
             np.sqrt(out, out=out)
@@ -392,20 +396,23 @@ class TabulatedMonotone(DeformedExponential):
         out[...] = np.interp(u, self.u_knots, self.log_knots)
         return out
 
-    def _log_v(self, v):
-        logv = np.log(v)
+    def _log_v(self, v, out):
+        """log v into out, checked against the table's phi range and flat values."""
+        logv = np.log(v, out=out)
         if logv.size and (logv.min() < self.log_knots[0] or logv.max() > self.log_knots[-1]):
             raise DomainError("v outside tabulated phi range")
         if self._flat_logs.size and np.isin(logv, self._flat_logs).any():
             raise DomainError("phi_inv hit a flat tabulated segment; preimage is ambiguous")
         return logv
 
-    def _phi_inv(self, v):
-        return np.asarray(np.interp(self._log_v(v), self.log_knots, self.u_knots))
+    def _phi_inv(self, v, out):
+        out[...] = np.interp(self._log_v(v, out), self.log_knots, self.u_knots)
+        return out
 
-    def _phi_inv_deriv(self, v):
+    def _phi_inv_deriv(self, v, out):
         # phi_inv is linear in log v on each segment: the slope du / dlog phi over v
-        return self._u_per_log[self._segment_index(self.log_knots, self._log_v(v))] / v
+        slopes = self._u_per_log[self._segment_index(self.log_knots, self._log_v(v, out))]
+        return np.divide(slopes, v, out=out)
 
     def _phi_prime(self, u, values, out):
         slopes = self.log_slopes[self._segment_index(self.u_knots, u)]  # NaN values stay NaN

@@ -42,6 +42,8 @@ endpoints (the phi-divergences), so kappa vanishes at alpha = 0 and 1 and D
 varies slowly in alpha: the start costs nothing.  A block row sums its
 integrals in another order than the 1-d dot product of a single solve, so a
 sweep's kappa can differ from the single solve's in its last bits.
+phi^-1(p) and phi^-1(q) come from the family's _phi_inv hook on the pair's
+densities, which ProbabilityPair has already checked positive and finite.
 """
 
 from __future__ import annotations
@@ -111,8 +113,9 @@ def interpolation_base(family: DeformedExponential, pair: ProbabilityPair, alpha
     """alpha phi^-1(p) + (1-alpha) phi^-1(q), the fixed part of the integrand."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    inv_p = family.phi_inv(pair.p)
-    inv_q = family.phi_inv(pair.q)
+    # the pair's densities are already checked positive and finite
+    inv_p = family._phi_inv(pair.p, np.empty(pair.p.shape))
+    inv_q = family._phi_inv(pair.q, np.empty(pair.q.shape))
     return _interpolate(inv_p, inv_q, alpha, out=inv_p, rest=inv_q)
 
 
@@ -333,9 +336,10 @@ def _sweep_kappa(family, pair, alphas, u0, tol):
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     u0 = _resolve_u0(u0, pair.measure)
-    inv_p = family.phi_inv(pair.p)
-    inv_q = family.phi_inv(pair.q)
-    n = inv_p.size
+    n = pair.measure.size
+    # the pair's densities are already checked positive and finite
+    inv_p = family._phi_inv(pair.p, np.empty(n))
+    inv_q = family._phi_inv(pair.q, np.empty(n))
     rows = max(1, min(ENVELOPE_BLOCK // n, len(alphas) - 1))
     first = _Root(alphas[0], 0.0)
     if len(alphas) == 1:

@@ -545,7 +545,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["oracle", "--pair", "pair.csv", "--alpha", "0.5", "--tol", "1e-9"],
         ["validate-phi", "--family", "exp", "--strict"],
-    ], ids=["oracle-tol", "validate-strict"])
+        # each probe kind takes only the options it reads
+        ["probe", "inequality", "--family", "exp", "--strict"],
+        ["probe", "ratio", "--family", "exp", "--ugrid", "0:1:3"],
+        ["probe", "envelope", "--family", "exp", "--alpha", "0.3"],
+    ], ids=["oracle-tol", "validate-strict", "inequality-strict", "ratio-ugrid", "envelope-alpha"])
     def test_option_not_taken_by_subcommand_exit_64(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -12,18 +12,20 @@ from deformed_renyi.divergences import (
     kl_divergence,
     limit_divergence,
     phi_divergence,
+    sweep,
     tsallis_relative_entropy,
 )
 from deformed_renyi.families import (
     BUILTIN_FAMILIES,
     ClassicalExp,
     CounterexamplePhi,
+    DomainError,
     KaniadakisKappa,
     TabulatedMonotone,
     TsallisQ,
     parse_family_spec,
 )
-from deformed_renyi.kappa import SolveStatus
+from deformed_renyi.kappa import SolveStatus, interpolation_base, solve_kappa
 from deformed_renyi.measures import Counting, ProbabilityPair, QuadGrid
 
 PAIR = ProbabilityPair(Counting(2), [0.5, 0.5], [0.9, 0.1])
@@ -171,19 +173,47 @@ class TestPhiDivergence:
 
         class FlatSlope(ClassicalExp):
             # zero inverse-derivative makes both quotients blow up
-            def phi_inv_deriv(self, v):
-                return np.zeros_like(np.asarray(v, dtype=float))
+            def _phi_inv_deriv(self, v, out):
+                out[...] = 0.0
+                return out
 
         with pytest.raises(DivergentNumerator):
             phi_divergence(FlatSlope(), pair)
 
         class HugeSlope(ClassicalExp):
             # numerator stays finite, denominator underflows to zero
-            def phi_inv_deriv(self, v):
-                return np.full_like(np.asarray(v, dtype=float), math.inf)
+            def _phi_inv_deriv(self, v, out):
+                out[...] = math.inf
+                return out
 
         with pytest.raises(DivergentDenominator):
             phi_divergence(HugeSlope(), pair)
+
+
+class TestTabulatedDensityChecks:
+    """The solver, interpolation_base and phi_divergence invert a pair's
+    densities through the family's hooks, past the public maps' v > 0 check;
+    a table's own range and flat-value checks still raise the public maps'
+    errors."""
+
+    FLAT_BOTTOM = TabulatedMonotone([(-10.0, 0.25), (0.0, 0.25), (10.0, 5.0)])  # phi in [0.25, 5]
+    CALLERS = {
+        "solve_kappa": lambda fam, pair: solve_kappa(fam, pair, 0.5),
+        "sweep": lambda fam, pair: sweep(fam, pair, [0.3, 0.5, 0.7]),
+        "interpolation_base": lambda fam, pair: interpolation_base(fam, pair, 0.5),
+        "phi_divergence": phi_divergence,
+    }
+
+    @pytest.mark.parametrize("caller", list(CALLERS))
+    @pytest.mark.parametrize("density, message", [
+        ([0.1, 0.9], "v outside tabulated phi range"),
+        ([0.25, 0.75], "phi_inv hit a flat tabulated segment; preimage is ambiguous"),
+    ], ids=["out-of-range", "flat"])
+    def test_table_checks_raise(self, caller, density, message):
+        pair = ProbabilityPair(Counting(2), density, [0.5, 0.5])
+        for p_or_q in (pair, pair.swapped()):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                self.CALLERS[caller](self.FLAT_BOTTOM, p_or_q)
 
 
 class TestClassicalOracles:

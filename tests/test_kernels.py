@@ -311,11 +311,41 @@ def fresh_phi_prime(family, u, values):
     return values.copy()
 
 
+def fresh_phi_inv(family, v):
+    """phi^-1(v) from each family's closed form, in fresh arrays."""
+    logv = np.log(v)
+    if isinstance(family, TabulatedMonotone):
+        return np.interp(logv, family.log_knots, family.u_knots)
+    if isinstance(family, TsallisQ):
+        return np.expm1(logv / family.m) * family.m
+    if isinstance(family, KaniadakisKappa) and family.kappa != 0.0:
+        return np.sinh(logv * family.kappa) / family.kappa
+    if isinstance(family, CounterexamplePhi):
+        return np.where(logv >= 0.5, np.sqrt(np.maximum(logv * 2.0, 0.0)) - 1.0, logv - 0.5)
+    return logv
+
+
+def fresh_phi_inv_deriv(family, v):
+    """(phi^-1)'(v) from each family's closed form, in fresh arrays."""
+    logv = np.log(v)
+    if isinstance(family, TabulatedMonotone):
+        return family._u_per_log[np.searchsorted(family.log_knots[1:-1], logv, side="left")] / v
+    if isinstance(family, TsallisQ):
+        return np.exp(logv * (1.0 / family.m - 1.0))
+    if isinstance(family, KaniadakisKappa) and family.kappa != 0.0:
+        return np.cosh(logv * family.kappa) / v
+    if isinstance(family, CounterexamplePhi):
+        return np.where(logv >= 0.5, 1.0 / (v * np.sqrt(np.maximum(logv * 2.0, 1e-300))), 1.0 / v)
+    return 1.0 / v
+
+
 class TestBufferContract:
-    """_log_phi(u, out) and _phi_prime(u, values, out) write into out and
-    return it, as the kappa solve's buffers need: the same bits as the
-    closed forms in fresh arrays, whatever out held, on 1-d grids, (rows, n)
-    blocks and 0-d arrays, and u and values stay untouched."""
+    """All four hooks, _log_phi(u, out), _phi_prime(u, values, out),
+    _phi_inv(v, out) and _phi_inv_deriv(v, out), write into out and return
+    it, as the kappa solve's buffers need: the same bits as the closed forms
+    in fresh arrays (and, for the inverse hooks, as the public maps),
+    whatever out held, on 1-d grids, (rows, n) blocks and 0-d arrays, and
+    their inputs stay untouched."""
 
     @staticmethod
     def _check(hook, inputs, expected):
@@ -347,6 +377,22 @@ class TestBufferContract:
         for i in range(0, u.size, 11):
             self._check(family._log_phi, [np.array(u[i])], log_phi[i])
             self._check(family._phi_prime, [np.array(u[i]), np.array(values[i])], prime[i])
+        # positive v over the phi range, with the counterexample's branch
+        # junction e^(1/2); a table's range stops at its end knots
+        if family is TABULATED_EXP:
+            v = np.geomspace(math.exp(EXP_KNOTS[0]), math.exp(EXP_KNOTS[-1]), 61)
+        else:
+            v = np.geomspace(1e-15, 1e15, 61)
+        v = np.concatenate([v, [1.0, math.exp(0.5)]])
+        for hook, public, fresh in ((family._phi_inv, family.phi_inv, fresh_phi_inv),
+                                    (family._phi_inv_deriv, family.phi_inv_deriv, fresh_phi_inv_deriv)):
+            expected = fresh(family, v)
+            np.testing.assert_array_equal(public(v), expected)
+            for shape in ((v.size,), (3, v.size // 3)):
+                self._check(hook, [v.reshape(shape)], expected.reshape(shape))
+            for i in range(0, v.size, 11):
+                self._check(hook, [np.array(v[i])], expected[i])
+                assert public(float(v[i])) == expected[i]
 
 
 class TestIntegrateInfRule:

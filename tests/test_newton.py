@@ -146,17 +146,23 @@ class TestSweep:
             check_against(ClassicalExp(), PAIR, alpha, u0, result, single)
 
     def test_phi_inv_called_once_per_density(self):
+        """The sweep inverts each of the pair's densities once, through the
+        hook: the public map would check them positive again."""
         class CountingExp(ClassicalExp):
-            calls = 0
+            hook_calls = public_calls = 0
+
+            def _phi_inv(self, v, out):
+                self.hook_calls += 1
+                return super()._phi_inv(v, out)
 
             def phi_inv(self, v):
-                self.calls += 1
+                self.public_calls += 1
                 return super().phi_inv(v)
 
         family = CountingExp()
         pair, _ = problem("counting", 1000)
         sweep(family, pair, np.linspace(0.02, 0.98, 49))
-        assert family.calls == 2
+        assert (family.hook_calls, family.public_calls) == (2, 0)
 
     def test_predictor_saves_evaluations(self):
         """Starting from the previous divergence value never costs more
