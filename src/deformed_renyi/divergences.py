@@ -218,14 +218,15 @@ def kappa_derivative_at_endpoint(
 ) -> float:
     """One-sided finite-difference estimate of d kappa / d alpha at 0 or 1.
 
-    kappa vanishes at both endpoints, so the derivative reduces to
-    +-kappa(h)/h one step h = 1e-5 inside the interval, solved at the
-    default tolerance.  Cross-checks the identity that the endpoint limits of
-    the divergence equal the phi-divergence.
+    kappa vanishes at both endpoints, so the derivative reduces to +-kappa(h)/h
+    one step h = 1e-5 inside the interval, solved at the default tolerance; a
+    solve that does not converge raises ArithmeticError.  Cross-checks the
+    identity that the endpoint limits of the divergence equal the phi-divergence.
     """
     h = 1e-5
-    if endpoint == 0:
-        return solve_kappa(family, pair, h, u0=u0).kappa / h
-    if endpoint == 1:
-        return -solve_kappa(family, pair, 1.0 - h, u0=u0).kappa / h
-    raise ValueError("endpoint must be 0 or 1")
+    if endpoint not in (0, 1):
+        raise ValueError("endpoint must be 0 or 1")
+    report = solve_kappa(family, pair, h if endpoint == 0 else 1.0 - h, u0=u0)
+    if report.status is not SolveStatus.CONVERGED:
+        raise ArithmeticError(f"solver status {report.status.value} at alpha={report.alpha}")
+    return (report.kappa if endpoint == 0 else -report.kappa) / h

@@ -367,12 +367,14 @@ def verify_kaniadakis_u0(kappa_param: float, alpha: float) -> KaniadakisCertific
 # ---------------------------------------------------------------------------
 
 
+ENVELOPE_ROWS = 32  # the counterexample rows an envelope check keeps
+
+
 @dataclass
 class EnvelopeCheck:
-    """counterexamples has one row per sampled (u, v) where the envelope
-    fails, with the columns (u, v, log lhs, log rhs): a C-contiguous (k, 4)
-    float array in the row-major order of the (u, v) grid.  The check fills
-    it in place, so besides it only one block of (u, v) values is held."""
+    """n_violations counts the sampled (u, v) where the envelope fails;
+    counterexamples is a (k, 4) float array of the first ENVELOPE_ROWS in the
+    (u, v) grid's row-major order, with columns (u, v, log lhs, log rhs)."""
 
     K: float
     lambda0: float
@@ -380,10 +382,11 @@ class EnvelopeCheck:
     lam: float                    # log(K) / lambda0
     holds: bool
     n_checked: int
+    n_violations: int
     counterexamples: np.ndarray
 
     def to_json(self):
-        obj = jsonable(replace(self, counterexamples=self.counterexamples[:32]))
+        obj = jsonable(self)
         obj["lambda"] = obj.pop("lam")
         return obj
 
@@ -409,35 +412,28 @@ def growth_envelope_check(
     if u.size == 0 or v.size == 0:
         raise ValueError("no sampled u >= c and v >= 0: nothing to check")
     log_u = np.asarray(family.log_phi(u))
-    lam_v = lam * v[None, :]
-    rows = max(1, ENVELOPE_BLOCK // v.size)
-    starts = range(0, u.size, rows)
-
-    def block(start):
+    lam_v = lam * v
+    rows = min(u.size, max(1, ENVELOPE_BLOCK // v.size))
+    # u + v, lhs and rhs in one allocation, as the sweep's buffers: the
+    # allocator reuses it for the next check without new page faults
+    blocks = np.empty((3, rows, v.size))
+    kept, n_violations = [], 0
+    for start in range(0, u.size, rows):
         ub = u[start:start + rows, None]
-        lhs = np.asarray(family.log_phi(ub + v[None, :]))
-        rhs = math.log(K) + log_u[start:start + rows, None] + lam_v
-        return ub, lhs, rhs, _log_exceeds(lhs, rhs)
-
-    # count the violations per block first, so that each row is written once,
-    # straight into the result; a block is evaluated again only if it has some
-    counts = [int(np.count_nonzero(block(start)[3])) for start in starts]
-    counterexamples = np.empty((sum(counts), 4))
-    end = 0
-    for start, count in zip(starts, counts):
-        if count:
-            ub, lhs, rhs, bad = block(start)
-            # a C-order mask picks rows in the row-major order of np.nonzero
-            out = counterexamples[end:end + count]
-            out[:, 0] = np.broadcast_to(ub, bad.shape)[bad]
-            out[:, 1] = np.broadcast_to(v, bad.shape)[bad]
-            out[:, 2] = lhs[bad]
-            out[:, 3] = rhs[bad]
-            end += count
+        w, lhs, rhs = blocks[:, :len(ub)]
+        family._log_phi(np.add(ub, v, out=w), lhs)
+        np.add(math.log(K) + log_u[start:start + rows, None], lam_v, out=rhs)
+        bad = _log_exceeds(lhs, rhs)
+        count = int(np.count_nonzero(bad))
+        if count and len(kept) < ENVELOPE_ROWS:
+            # np.nonzero of a C-order mask runs in row-major order
+            i, j = (index[:ENVELOPE_ROWS - len(kept)] for index in np.nonzero(bad))
+            kept += np.column_stack([ub[i, 0], v[j], lhs[i, j], rhs[i, j]]).tolist()
+        n_violations += count
     return EnvelopeCheck(
         K=K, lambda0=lambda0, c=c, lam=lam,
-        holds=counterexamples.shape[0] == 0, n_checked=u.size * v.size,
-        counterexamples=counterexamples,
+        holds=n_violations == 0, n_checked=u.size * v.size,
+        n_violations=n_violations, counterexamples=np.array(kept).reshape(-1, 4),
     )
 
 

@@ -239,6 +239,7 @@ class KaniadakisKappa(DeformedExponential):
         if not (-1.0 <= kappa <= 1.0):
             raise FamilyParameterError(f"kaniadakis kappa must be in [-1, 1], got {kappa}")
         self.kappa = float(kappa)
+        self._subnormal = 0.0 < abs(self.kappa) < np.finfo(float).tiny
 
     @classmethod
     def from_spec(cls, arg):
@@ -251,17 +252,23 @@ class KaniadakisKappa(DeformedExponential):
         if self.kappa == 0.0:
             out[...] = u
             return out
-        np.multiply(u, self.kappa, out=out)
-        np.arcsinh(out, out=out)
-        return np.divide(out, self.kappa, out=out)
+        return self._closed_form(np.arcsinh, u, out)
 
     def _phi_inv(self, v, out):
-        np.log(v, out=out)
         if self.kappa == 0.0:
-            return out
-        np.multiply(out, self.kappa, out=out)
-        np.sinh(out, out=out)
-        return np.divide(out, self.kappa, out=out)
+            return np.log(v, out=out)
+        return self._closed_form(np.sinh, np.log(v) if self._subnormal else np.log(v, out=out), out)
+
+    def _closed_form(self, f, x, out):
+        """f(k x) / k into out; a subnormal k, whose k x keeps few bits, gives x
+        where |k x| < 2**-26, as f(y) / y (arcsinh or sinh) rounds to 1 there."""
+        np.multiply(x, self.kappa, out=out)
+        small = np.abs(out) < 2.0 ** -26 if self._subnormal else None
+        f(out, out=out)
+        np.divide(out, self.kappa, out=out)
+        if self._subnormal:
+            np.copyto(out, x, where=small)
+        return out
 
     def _phi_inv_deriv(self, v, out):
         if self.kappa == 0.0:

@@ -336,6 +336,8 @@ def _sweep_kappa(family, pair, alphas, u0, tol):
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     u0 = _resolve_u0(u0, pair.measure)
+    if not alphas:
+        return []
     n = pair.measure.size
     # the pair's densities are already checked positive and finite
     inv_p = family._phi_inv(pair.p, np.empty(n))

@@ -18,6 +18,7 @@ from deformed_renyi import existence
 from deformed_renyi.existence import (
     BISECT_DEPTH,
     ENVELOPE_BLOCK,
+    ENVELOPE_ROWS,
     LOG_SLACK,
     _bisect_last,
     _last_bracket,
@@ -178,17 +179,29 @@ def assert_rows_array(counterexamples):
     # the exp-knot table, with u + v inside its knot range
     (TabulatedMonotone(list(zip(EXP_KNOTS, np.exp(EXP_KNOTS)))), 1.2, -math.inf,
      np.linspace(-40.0, 20.0, 481), np.linspace(0.0, 20.0, 201)),
-], ids=["counterexample-defaults", "tsallis-2", "long-v", "one-row", "exp-table"])
+    # the first block fails only on its last rows (u + v > sqrt 2), so the
+    # kept rows come from two blocks
+    (CounterexamplePhi(), math.e, -math.inf, np.linspace(-34.5, 30.0, 646), np.linspace(0.0, 20.0, 201)),
+], ids=["counterexample-defaults", "tsallis-2", "long-v", "one-row", "exp-table", "two-blocks"])
 def test_envelope_matches_full_grid_reference(family, K, c, u_grid, v_grid):
     expected, n_checked = full_grid_envelope(family, K, 1.0, c, u_grid, v_grid)
     check = growth_envelope_check(family, K, 1.0, c, u_grid, v_grid)
     assert expected.shape[0] > 0
-    # same rows, in the same row-major order, to the bit
+    assert check.n_violations == expected.shape[0]
+    # the first ENVELOPE_ROWS rows, in the same row-major order, to the bit
     assert_rows_array(check.counterexamples)
-    assert check.counterexamples.shape == expected.shape
-    assert check.counterexamples.tobytes() == expected.tobytes()
+    assert check.counterexamples.shape == expected[:ENVELOPE_ROWS].shape
+    assert check.counterexamples.tobytes() == expected[:ENVELOPE_ROWS].tobytes()
     assert check.n_checked == n_checked
     assert not check.holds
+
+
+def test_envelope_rows_span_two_blocks():
+    # the premise of the two-blocks case above
+    u, v = np.linspace(-34.5, 30.0, 646), np.linspace(0.0, 20.0, 201)
+    expected, _ = full_grid_envelope(CounterexamplePhi(), math.e, 1.0, -math.inf, u, v)
+    first_block = np.count_nonzero(expected[:, 0] < u[ENVELOPE_BLOCK // v.size])
+    assert 0 < first_block < ENVELOPE_ROWS < expected.shape[0]
 
 
 def test_envelope_without_violations_is_empty():
@@ -196,6 +209,7 @@ def test_envelope_without_violations_is_empty():
     check = growth_envelope_check(ClassicalExp(), math.e, 1.0, -math.inf, u, v)
     expected, n_checked = full_grid_envelope(ClassicalExp(), math.e, 1.0, -math.inf, u, v)
     assert check.holds
+    assert check.n_violations == 0
     assert_rows_array(check.counterexamples)
     assert check.counterexamples.shape == expected.shape == (0, 4)
     assert check.n_checked == n_checked == u.size * v.size
@@ -203,7 +217,7 @@ def test_envelope_without_violations_is_empty():
 
 def test_envelope_holds_each_counterexample_row_once():
     # at the probe defaults 333 776 of the 402 201 (u, v) points fail; the
-    # check may hold one block besides the 10.2 MiB of rows, not a second copy
+    # check counts them and keeps the first 32, so it holds one block at a time
     u, v = np.linspace(-50.0, 200.0, 2001), np.linspace(0.0, 20.0, 201)
     tracemalloc.start()
     try:
@@ -211,8 +225,28 @@ def test_envelope_holds_each_counterexample_row_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert check.counterexamples.shape == (333_776, 4)
-    assert peak <= check.counterexamples.nbytes + 2 * 2 ** 20
+    assert check.n_violations == 333_776
+    assert check.counterexamples.shape == (ENVELOPE_ROWS, 4) == (32, 4)
+    assert peak <= 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("u_grid, v_grid", [
+    (np.linspace(-50.0, 200.0, 2001), np.linspace(0.0, 20.0, 201)),
+    (np.linspace(0.0, 60.0, 13), np.linspace(0.0, 30.0, ENVELOPE_BLOCK + 7)),
+], ids=["probe-defaults", "long-v"])
+def test_envelope_evaluates_each_block_once(u_grid, v_grid):
+    calls = []
+
+    class CountedCounterexample(CounterexamplePhi):
+        def _log_phi(self, u, out):
+            calls.append(np.shape(u))
+            return super()._log_phi(u, out)
+
+    growth_envelope_check(CountedCounterexample(), math.e, 1.0, -math.inf, u_grid, v_grid)
+    rows = max(1, ENVELOPE_BLOCK // v_grid.size)
+    # one call for log phi(u), then one per block of u rows
+    assert calls[0] == u_grid.shape
+    assert len(calls) == 1 + math.ceil(u_grid.size / rows)
 
 
 def test_kaniadakis_certificate_slope_evaluations(monkeypatch):

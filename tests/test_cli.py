@@ -163,6 +163,7 @@ class TestProbeCommand:
         obj = loads(out)
         validate("probe_envelope", obj)
         assert obj["holds"] is True
+        assert obj["n_violations"] == 0
 
     @pytest.mark.parametrize("args, message", [
         (["inequality", "--ugrid", "0:1:0"], "expected lo:hi:n"),

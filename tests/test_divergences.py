@@ -297,6 +297,17 @@ class TestEndpointDerivative:
         d0 = kappa_derivative_at_endpoint(fam, PAIR, 0)
         assert d0 == pytest.approx(phi_divergence(fam, PAIR.swapped()), rel=1e-3)
 
+    @pytest.mark.parametrize("endpoint, alpha", [(0, 1e-5), (1, 1.0 - 1e-5)])
+    def test_failed_solve_raises(self, endpoint, alpha):
+        # at u0 = 1e-15 the one solve fails its bracket; the slope used to
+        # read +-inf where limit_divergence raises
+        pair = ProbabilityPair(Counting(3), [0.2, 0.3, 0.5], [0.5, 0.25, 0.25])
+        assert solve_kappa(ClassicalExp(), pair, alpha, u0=1e-15).status is SolveStatus.BRACKET_FAILURE
+        with pytest.raises(ArithmeticError, match=re.escape(f"solver status bracket_failure at alpha={alpha}")):
+            kappa_derivative_at_endpoint(ClassicalExp(), pair, endpoint, u0=1e-15)
+        with pytest.raises(ArithmeticError, match="solver status bracket_failure"):
+            limit_divergence(ClassicalExp(), pair, u0=1e-15, endpoint=endpoint)
+
 
 def test_report_status_passthrough():
     from deformed_renyi.existence import build_divergent_pair

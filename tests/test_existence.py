@@ -160,7 +160,7 @@ ACCEPTANCE_GRID = [(kp, alpha) for kp in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0) for
 # minimizer is well resolved
 BASELINE_GRID = [(kp, alpha) for kp in (-1.0, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0)
                  for alpha in (0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99)]
-TINY_KAPPAS = (5e-324, -5e-324, 1e-300, -1e-300, 1e-8, -1e-8)
+TINY_KAPPAS = (5e-324, -5e-324, 1e-320, -1e-320, 1e-300, -1e-300, 1e-8, -1e-8)
 
 
 def _lam_rel_error(cert):

@@ -124,6 +124,37 @@ class TestInverse:
         np.testing.assert_allclose(back, u, atol=1e-10, rtol=1e-10)
 
 
+class TestSubnormalKaniadakis:
+    """A subnormal k u keeps only a few bits, so arcsinh(k u) / k quantizes;
+    where |k u| < 2**-26 the maps are u and log v, exactly."""
+
+    @pytest.mark.parametrize("k", [5e-324, -5e-324, 1e-320, -1e-320])
+    def test_maps_are_exact(self, k):
+        fam = KaniadakisKappa(k)
+        u, v = np.array([0.4, 0.6, 1.3, -2.7]), np.array([1.5, 2.0, 3.0])
+        assert np.asarray(fam.log_phi(u)).tobytes() == u.tobytes()
+        assert np.asarray(fam.phi_inv(v)).tobytes() == np.log(v).tobytes()
+        assert fam.log_phi(0.3) == 0.3 and fam.phi_inv(2.0) == math.log(2.0)
+
+    def test_closed_form_where_k_u_is_large(self):
+        # 2e-308 is subnormal, and k u = 2 is far from small
+        k = 2e-308
+        assert 0.0 < k < np.finfo(float).tiny
+        assert KaniadakisKappa(k).log_phi(1e308) == pytest.approx(math.asinh(k * 1e308) / k, rel=1e-15)
+
+    def test_non_finite_inputs(self):
+        fam = KaniadakisKappa(5e-324)
+        assert np.isnan(fam.log_phi(math.nan))
+        assert fam.log_phi(math.inf) == math.inf and fam.log_phi(-math.inf) == -math.inf
+        assert fam.phi_inv(math.inf) == math.inf
+
+    def test_normal_k_keeps_its_closed_form(self):
+        u = np.linspace(-30.0, 30.0, 61)
+        for k in (np.finfo(float).tiny, 1e-300, 0.5, -1.0):
+            got = np.asarray(KaniadakisKappa(k).log_phi(u))
+            assert got.tobytes() == (np.arcsinh(k * u) / k).tobytes()
+
+
 INVERSE_MAPS = ("phi_inv", "phi_inv_deriv")
 
 

@@ -131,6 +131,17 @@ def test_warm_start_above_the_root_falls_back_to_n_at_zero(monkeypatch):
 
 
 class TestSweep:
+    @pytest.mark.parametrize("alphas", [[], np.array([])], ids=["list", "array"])
+    def test_empty_sweep(self, alphas):
+        assert sweep(ClassicalExp(), PAIR, alphas) == []
+        # the tol and u0 checks still run
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            sweep(ClassicalExp(), PAIR, alphas, tol=0.0)
+        with pytest.raises(ValueError, match="u0 must be strictly positive and finite"):
+            sweep(ClassicalExp(), PAIR, alphas, u0=-1.0)
+        with pytest.raises(ValueError, match="u0 has shape"):
+            sweep(ClassicalExp(), PAIR, alphas, u0=[1.0, 2.0, 3.0])
+
     def test_bracket_failure_mid_sweep_then_cold_restart(self):
         alphas = [0.05, 0.5, 0.95]
         kappas = [solve_kappa(ClassicalExp(), PAIR, a).kappa for a in alphas]
